@@ -16,8 +16,8 @@ held only around core evaluation, so request validation and response
 serialization stay concurrent.
 
 Every engine-backed request (evaluate, pressure, sweep, experiment) rides
-the engine's grid-batched execution under the default kernel tier: cache
-misses are grouped per loop and evaluated against one shared
+the engine's grid-batched execution: cache misses are grouped per loop
+and evaluated against one shared
 :class:`repro.kernel.batch.LoopChain`, so an experiment's sweep of models
 and budgets over one loop costs one schedule, not one per point.  Response
 payloads are bit-identical to per-point execution.

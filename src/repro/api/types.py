@@ -499,16 +499,17 @@ class ExperimentRequest(WireMessage):
         _check(isinstance(self.params, dict), "params must be an object")
 
 
-#: Kernel tiers a ValidateRequest may name (mirrors repro.validate.TIERS;
-#: literal here so the wire module stays import-light).
-VALIDATE_TIERS = ("batch", "1", "0")
+#: Evaluator tiers a ValidateRequest may name (mirrors
+#: repro.validate.TIERS; literal here so the wire module stays
+#: import-light): ``"batch"`` is production, ``"0"`` the dict oracle.
+VALIDATE_TIERS = ("batch", "0")
 
 
 @dataclass(frozen=True)
 class ValidateRequest(WireMessage):
     """Differentially validate one evaluated point by execution.
 
-    The point is re-evaluated under each requested kernel tier and its
+    The point is re-evaluated under each requested evaluator tier and its
     schedule/allocation executed cycle-by-cycle against the reference
     interpreter (:mod:`repro.validate`); the response reports every
     observed-vs-claimed mismatch with actionable coordinates.

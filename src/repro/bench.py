@@ -1,7 +1,7 @@
 """``python -m repro bench`` -- the machine-readable performance snapshot.
 
-Runs the hot-path benchmark scenarios (the same Figure 8/9 evaluation grid
-as ``benchmarks/bench_pipeline.py``) and emits one JSON document per run:
+Runs the hot-path benchmark scenarios over the Figure 8/9 evaluation grid
+(:func:`bench_grid`) and emits one JSON document per run:
 wall seconds, grid points, and points/second per scenario, plus the
 hardware-independent ratio the CI regression gate checks.
 
@@ -10,10 +10,10 @@ Scenarios:
 * ``cold_kernel``  -- the full spill-evaluation grid on a fresh artifact
   store with the per-point array kernels (one pipeline run per point);
 * ``cold_batch``   -- the same cold grid through the engine's grid-batched
-  path (``REPRO_KERNELS=batch``): jobs grouped per loop, each group walking
-  one shared :class:`repro.kernel.batch.LoopChain`;
+  path (production): jobs grouped per loop, each group walking one shared
+  :class:`repro.kernel.batch.LoopChain`;
 * ``cold_legacy``  -- the same grid on the dict-based reference
-  implementations (``REPRO_KERNELS=0`` semantics);
+  implementations (``use_kernels(False)``);
 * ``warm``         -- the grid repeated against a primed store (pure
   memoization path, no scheduler runs);
 * ``dispatch``     -- the same points as engine jobs through
@@ -21,7 +21,7 @@ Scenarios:
   ``--workers`` > 1, the serial engine otherwise);
 * ``simulate``     -- every grid point's final schedule/allocation
   executed through the cycle-level simulator (the differential gate's
-  hot path, ``benchmarks/bench_simulator.py``'s workload at grid scale).
+  hot path).
   Informational only: it has no baseline ratio and is never gated.
 * ``serve_single`` -- the mixed serve workload (the bench grid at a
   fixed ``SERVE_LOOPS`` suite size, twice, shuffled) through one
@@ -69,8 +69,8 @@ from repro.report.provenance import git_revision
 from repro.workloads.suite import perfect_club_like
 
 #: The canonical Figure 8/9 bench grid -- the single definition shared by
-#: this driver and the pytest benchmarks (bench_pipeline/bench_kernels),
-#: so the CI-gated ratio and the documented workload cannot drift apart.
+#: this driver, the tests and ``perfbench``, so the CI-gated ratio and the
+#: documented workload cannot drift apart.
 LATENCY = 6
 BUDGETS = (32, 64)
 MODELS = (Model.UNIFIED, Model.PARTITIONED, Model.SWAPPED)
@@ -121,9 +121,6 @@ def bench_grid(
                 yield loop, machine, model, budget
 
 
-_grid = bench_grid  # backward-compatible private alias
-
-
 def _run_grid(
     loops: Sequence[Loop], machine: MachineConfig, store: ArtifactStore
 ) -> int:
@@ -172,25 +169,18 @@ def run_bench(
         }
 
     if "cold_kernel" in scenarios:
-        # Tier "1" pins the per-point measurement: _run_grid evaluates one
-        # pipeline run per point either way, but the label must not drift
-        # if that ever changes.
-        with kernel.use_kernels("1"):
-            seconds, points = _timed(
-                lambda: _run_grid(loops, machine, ArtifactStore(8192)),
-                repeats,
-            )
+        seconds, points = _timed(
+            lambda: _run_grid(loops, machine, ArtifactStore(8192)), repeats
+        )
         record("cold_kernel", seconds, points)
     if "cold_batch" in scenarios:
         jobs = [
             evaluate_job(loop, mach, model, budget)
             for loop, mach, model, budget in bench_grid(loops, machine)
         ]
-        with kernel.use_kernels("batch"):
-            seconds, points = _timed(
-                lambda: len(run_jobs(jobs, workers=0, cache=None)),
-                repeats,
-            )
+        seconds, points = _timed(
+            lambda: len(run_jobs(jobs, workers=0, cache=None)), repeats
+        )
         record("cold_batch", seconds, points)
     if "cold_legacy" in scenarios:
         with kernel.use_kernels(False):
@@ -229,8 +219,7 @@ def run_bench(
                 points += 1
             return points
 
-        with kernel.use_kernels("1"):
-            seconds, points = _timed(_simulate, repeats)
+        seconds, points = _timed(_simulate, repeats)
         record("simulate", seconds, points)
     if "check" in scenarios:
         # The static gate's hot path: prove every suite point's schedule

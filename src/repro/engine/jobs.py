@@ -29,6 +29,7 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence
 
+from repro import kernel
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.ir.loop import Loop
@@ -346,10 +347,13 @@ def execute_batch(jobs: Sequence[EvalJob]) -> list[JobResult]:
     (model, budget) walk -- see :mod:`repro.kernel.batch`.  Groups whose
     victim policy has no array implementation (custom registered policies
     interrogate ``Schedule`` dataclasses) fall back to per-job execution,
-    bit-identical by construction.
+    bit-identical by construction; so does every group while the dict
+    oracle is selected (``kernel.use_kernels(False)``).
     """
     first = jobs[0]
-    if not kbatch.supports(first.victim_policy, first.pressure_strategy):
+    if not kernel.kernels_enabled() or not kbatch.supports(
+        first.victim_policy, first.pressure_strategy
+    ):
         return [execute_job(job) for job in jobs]
     chain = kbatch.LoopChain(
         first.loop.graph,

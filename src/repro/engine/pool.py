@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 
 from dataclasses import replace as _replace
 
-from repro import kernel
 from repro.analysis.performance import ModelRun
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
@@ -35,7 +34,6 @@ from repro.engine.jobs import (
     batch_key,
     evaluate_job,
     execute_batch,
-    execute_job,
     pressure_job,
 )
 from repro.ir.loop import Loop
@@ -53,22 +51,6 @@ ResultFn = Callable[[int, EvalJob, JobResult], None]
 def default_workers() -> int:
     """Worker-count default: one process per core, at least one."""
     return max(1, os.cpu_count() or 1)
-
-
-def _execute_chunk(
-    chunk: list[tuple[int, EvalJob]],
-) -> list[tuple[int, JobResult]]:
-    """Execute one chunk of (index, job) pairs inside a worker process.
-
-    Chunked dispatch is the engine's IPC batching: the parent ships one
-    pickled chunk per round trip instead of one job, so the shared machine
-    and loop objects within a chunk are pickled once (pickle memoizes
-    repeated objects within a payload), and the worker's process-wide
-    artifact store serves the chunk's structurally related jobs (the same
-    loop under several models/budgets rides in one chunk) without re-keying
-    across IPC boundaries.  Results return as one message per chunk, too.
-    """
-    return [(index, execute_job(job)) for index, job in chunk]
 
 
 def _group_misses(
@@ -113,8 +95,14 @@ def _batch_chunks(
 def _execute_batch_chunk(
     chunk: list[list[tuple[int, EvalJob]]],
 ) -> list[tuple[int, JobResult]]:
-    """Worker-side twin of :func:`_execute_chunk` for grouped dispatch:
-    one shared chain per group, one IPC round per chunk of groups."""
+    """Execute one chunk of whole groups inside a worker process.
+
+    Chunked dispatch is the engine's IPC batching: the parent ships one
+    pickled chunk per round trip instead of one job, so the shared machine
+    and loop objects within a chunk are pickled once (pickle memoizes
+    repeated objects within a payload), and each group walks one shared
+    chain.  Results return as one message per chunk, too.
+    """
     out: list[tuple[int, JobResult]] = []
     for group in chunk:
         results = execute_batch([job for _index, job in group])
@@ -217,41 +205,29 @@ def run_jobs(
         if progress is not None:
             progress(done, total)
 
-    batched = kernel.batch_enabled()
     # A one-worker pool would only add IPC overhead; run in-process.
     if workers <= 1 or len(misses) <= 1:
-        if batched and misses:
-            for group in _group_misses(misses):
-                group_results = execute_batch([job for _i, job in group])
-                for (index, job), result in zip(group, group_results):
-                    finish(index, job, result)
-        else:
-            for index, job in misses:
-                finish(index, job, execute_job(job))
+        for group in _group_misses(misses):
+            group_results = execute_batch([job for _i, job in group])
+            for (index, job), result in zip(group, group_results):
+                finish(index, job, result)
     else:
         workers = min(workers, len(misses))
         if chunksize is None:
             chunksize = max(1, len(misses) // (workers * 4))
-        # One IPC round per chunk of jobs, not per job: see _execute_chunk.
-        # Under the batch tier a chunk is whole per-loop groups instead of
-        # a flat job slice, so each loop's chain is built exactly once.
-        if batched:
-            chunks = _batch_chunks(misses, chunksize)
-            executor = _execute_batch_chunk
-        else:
-            chunks = [
-                misses[lo : lo + chunksize]
-                for lo in range(0, len(misses), chunksize)
-            ]
-            executor = _execute_chunk
+        # One IPC round per chunk of whole per-loop groups, not per job:
+        # see _execute_batch_chunk.  Each loop's chain is built exactly once.
+        chunks = _batch_chunks(misses, chunksize)
         shared = pool_factory() if pool_factory is not None else None
         if shared is not None:
-            for batch in shared.imap_unordered(executor, chunks):
+            for batch in shared.imap_unordered(_execute_batch_chunk, chunks):
                 for index, result in batch:
                     finish(index, jobs[index], result)
         else:
             with multiprocessing.Pool(processes=workers) as ephemeral:
-                for batch in ephemeral.imap_unordered(executor, chunks):
+                for batch in ephemeral.imap_unordered(
+                    _execute_batch_chunk, chunks
+                ):
                     for index, result in batch:
                         finish(index, jobs[index], result)
 

@@ -11,11 +11,10 @@ own and not just as raw points.
 ``python -m repro sweep`` CLI); arbitrary grids are one ``SweepSpec(...)``
 away -- see ``examples/sweep_models.py``.
 
-Sweeps inherit the engine's grid batching for free: under the default
-``REPRO_KERNELS=batch`` tier, ``run_jobs`` groups a sweep's cache misses
-per loop and walks each group's points over one shared
-:class:`repro.kernel.batch.LoopChain` (schedule/lifetime artifacts computed
-once per loop, not once per point).  The job list built here -- its
+Sweeps inherit the engine's grid batching for free: ``run_jobs`` groups
+a sweep's cache misses per loop and walks each group's points over one
+shared :class:`repro.kernel.batch.LoopChain` (schedule/lifetime artifacts
+computed once per loop, not once per point).  The job list built here -- its
 composition and order -- is unchanged by batching; only execution is
 grouped, and results come back in build order regardless.
 """

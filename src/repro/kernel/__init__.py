@@ -24,84 +24,45 @@ This package lowers the problem once into flat integer arrays and bitmasks:
 
 The kernels are drop-in replacements: the public modules
 (:mod:`repro.sched.modulo`, :mod:`repro.regalloc`, :mod:`repro.core`)
-dispatch here when kernels are enabled and materialize the same frozen
-dataclasses at the boundary, so schedules, allocations, swap traces, report
-bytes and pipeline fingerprints are identical either way.  The dict
-implementations stay selectable behind :func:`use_kernels` for differential
-testing.
+dispatch here and materialize the same frozen dataclasses at the boundary,
+so schedules, allocations, swap traces, report bytes and pipeline
+fingerprints are identical either way.
 
-Three tiers, selected by ``REPRO_KERNELS`` / :func:`set_kernels`:
+There are two evaluators:
 
-* ``"0"`` -- dict reference implementations everywhere;
-* ``"1"`` -- per-point array kernels (every entry point dispatches here,
-  one pipeline run per grid point);
-* ``"batch"`` (the default) -- additionally, the engine groups grid jobs
-  by loop content and evaluates each group against one shared
-  :class:`~repro.kernel.batch.LoopChain` (schedule-stage artifacts computed
-  once per loop, not once per point).
-
-The batch tier only changes *where* sharing happens (the engine's
-``run_jobs``); single-point entry points behave exactly like tier ``"1"``.
-For backwards compatibility the boolean forms remain: ``True`` means the
-full ``"batch"`` tier, ``False`` means ``"0"``.
+* **production** -- the array kernels.  The engine groups grid jobs by
+  loop content and evaluates each group against one shared
+  :class:`~repro.kernel.batch.LoopChain` (schedule-stage artifacts
+  computed once per loop, not once per point); single-point entry points
+  such as :func:`repro.pipeline.run_evaluation` run the per-point kernels;
+* **oracle** -- the dict reference implementations, the specification the
+  kernels are tested against.  :func:`use_kernels` ``(False)`` selects it
+  for differential tests and benches; nothing in production does.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
-_TIERS = ("0", "1", "batch")
-
-
-def _normalize(value: "bool | str") -> str:
-    if value is True:
-        return "batch"
-    if value is False:
-        return "0"
-    value = str(value)
-    return value if value in _TIERS else "batch"
-
-
-_tier = _normalize(os.environ.get("REPRO_KERNELS", "batch"))
-
-
-def kernel_tier() -> str:
-    """The active tier: ``"0"`` (dicts), ``"1"`` (arrays), or ``"batch"``."""
-    return _tier
+_enabled = True
 
 
 def kernels_enabled() -> bool:
     """Whether the public entry points dispatch to the array kernels."""
-    return _tier != "0"
-
-
-def batch_enabled() -> bool:
-    """Whether the engine groups grid jobs into per-loop batch chains."""
-    return _tier == "batch"
-
-
-def set_kernels(enabled: "bool | str") -> str:
-    """Select the kernel tier process-wide; returns the prior tier.
-
-    Accepts a tier name (``"0"``/``"1"``/``"batch"``) or a boolean
-    (``True`` = ``"batch"``, ``False`` = ``"0"``).
-    """
-    global _tier
-    prior = _tier
-    _tier = _normalize(enabled)
-    return prior
+    return _enabled
 
 
 @contextmanager
-def use_kernels(enabled: "bool | str") -> Iterator[None]:
-    """Scoped kernel-tier override, used by differential tests and benches."""
-    prior = set_kernels(enabled)
+def use_kernels(enabled: bool) -> Iterator[None]:
+    """Scoped evaluator override: ``False`` selects the dict oracle."""
+    global _enabled
+    prior = _enabled
+    _enabled = bool(enabled)
     try:
         yield
     finally:
-        set_kernels(prior)
+        _enabled = prior
 
 
 from repro.kernel.loop import LoopArrays, consumer_map, lower_loop  # noqa: E402
@@ -110,12 +71,9 @@ from repro.kernel.machine import MachineArrays, lower_machine  # noqa: E402
 __all__ = [
     "LoopArrays",
     "MachineArrays",
-    "batch_enabled",
     "consumer_map",
-    "kernel_tier",
     "kernels_enabled",
     "lower_loop",
     "lower_machine",
-    "set_kernels",
     "use_kernels",
 ]

@@ -10,9 +10,10 @@ differential gate:
   :class:`~repro.spill.spiller.LoopEvaluation` and cross-checks observed
   II, per-file register occupancy, and memory-bus traffic against the
   claims;
-* :func:`validate_point` does so under every kernel tier
-  (``REPRO_KERNELS=batch/1/0``), additionally requiring the tiers'
-  analytics to agree;
+* :func:`validate_point` does so under both evaluator tiers (``batch``,
+  the production array kernels, and ``0``, the dict oracle), additionally
+  requiring the tiers' analytics -- and the engine's batch chain -- to
+  agree;
 * :func:`run_sampled_validation` drives a seeded sample of suite points
   through the above -- the ``repro report --check`` and ``repro
   validate`` entry.

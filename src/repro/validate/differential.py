@@ -22,10 +22,13 @@ behaviour against every claim:
   :attr:`~repro.spill.spiller.LoopEvaluation.traffic_density`), and the
   per-cycle bus usage never exceeds the machine's memory bandwidth.
 
-:func:`validate_point` additionally runs the whole pipeline under every
-kernel tier (``REPRO_KERNELS=batch/1/0``) and requires the tiers to agree
-with each other *and* with execution, so the array/batch fast paths are
-pinned execution-consistently, not just bit-identically to themselves.
+:func:`validate_point` additionally runs the whole pipeline under both
+evaluator tiers -- ``batch`` (the production array kernels) and ``0`` (the
+dict oracle) -- and requires the tiers to agree with each other *and* with
+execution.  The ``batch`` tier also evaluates the point through the
+engine's :class:`~repro.kernel.batch.LoopChain` (the evaluator behind
+every run/report/serve result), whose summary must match the executed
+per-point pipeline.
 
 :func:`allocation_for` is deliberately a module-level seam: mutation
 tests (and the ``report --check`` teeth test) monkeypatch it to inject a
@@ -50,8 +53,11 @@ from repro.sim.executor import SimulationError, SimulationReport, execute_kernel
 from repro.sim.regfile import RegisterFileError
 from repro.spill.spiller import LoopEvaluation
 
-#: Kernel tiers a point is validated under, fastest first.
-TIERS = ("batch", "1", "0")
+#: Evaluator tiers a point is validated under, production first:
+#: ``"batch"`` (array kernels, checked against the engine's chain too) and
+#: ``"0"`` (the dict oracle).  Maps each tier to its ``use_kernels`` flag.
+_TIER_KERNELS = {"batch": True, "0": False}
+TIERS = tuple(_TIER_KERNELS)
 
 
 class ValidationError(RuntimeError):
@@ -235,7 +241,7 @@ def validate_evaluation(
 ) -> PointValidation:
     """Execute one evaluated point and cross-check every analytical claim."""
     if tier is None:
-        tier = kernel.kernel_tier()
+        tier = "batch" if kernel.kernels_enabled() else "0"
     if reproducer is None:
         reproducer = reproducer_spec(
             evaluation.loop,
@@ -449,7 +455,7 @@ def reproducer_spec(
     }
 
 
-#: The per-point summary every kernel tier must agree on.
+#: The per-point summary every evaluator must agree on.
 _TIER_FIELDS = (
     "ii",
     "spilled_values",
@@ -461,8 +467,27 @@ _TIER_FIELDS = (
 
 def _tier_summary(evaluation: LoopEvaluation) -> dict:
     summary = {name: getattr(evaluation, name) for name in _TIER_FIELDS}
-    summary["registers"] = evaluation.requirement.registers
+    summary["registers_required"] = evaluation.requirement.registers
     return summary
+
+
+def _chain_summary(
+    loop: Loop,
+    machine: MachineConfig,
+    model: Model,
+    register_budget: int | None,
+    knobs: dict,
+) -> dict:
+    """The same summary, evaluated the way the engine does: one job
+    through :func:`repro.engine.jobs.execute_batch` (one shared chain)."""
+    from repro.engine import jobs
+
+    job = jobs.evaluate_job(loop, machine, model, register_budget, **knobs)
+    result = jobs.execute_batch([job])[0]
+    return {
+        name: getattr(result, name)
+        for name in _TIER_FIELDS + ("registers_required",)
+    }
 
 
 def validate_point(
@@ -476,17 +501,25 @@ def validate_point(
     static: bool = True,
     **knobs: Any,
 ) -> ValidationReport:
-    """Evaluate one point under every kernel tier and validate each.
+    """Evaluate one point under every evaluator tier and validate each.
 
-    Each tier re-runs the full spill pipeline under ``use_kernels(tier)``
-    and executes *its own* allocation; on top of the per-tier simulator
-    checks, the tiers' analytical summaries must be identical (a ``tier``
-    mismatch otherwise).  ``static=True`` (the default) additionally
-    proves the first tier's schedule/allocation analytically
+    Each tier re-runs the full spill pipeline under its evaluator
+    (``use_kernels(True)`` for ``"batch"``, ``use_kernels(False)`` for
+    ``"0"``) and executes *its own* allocation; on top of the per-tier
+    simulator checks, the tiers' analytical summaries must be identical (a
+    ``tier`` mismatch otherwise).  The ``"batch"`` tier additionally
+    evaluates the point through the engine's chain
+    (:func:`repro.engine.jobs.execute_batch` on one
+    :func:`~repro.engine.jobs.evaluate_job`) -- the evaluator that serves
+    every run/report/serve result -- and reports a ``tier`` mismatch when
+    the chain's summary differs from the executed per-point pipeline.
+    ``static=True`` (the default) additionally proves the first tier's
+    schedule/allocation analytically
     (:func:`repro.check.invariants.check_evaluation`) -- the O(ops)
     static tier that runs on 100% of points where simulation samples.
-    Extra ``knobs`` ride into
-    :func:`repro.pipeline.pipelines.run_evaluation` verbatim.
+    Extra ``knobs`` (the policy knobs shared by
+    :func:`repro.pipeline.pipelines.run_evaluation` and
+    :func:`~repro.engine.jobs.evaluate_job`) ride into both verbatim.
     """
     from repro.pipeline.pipelines import run_evaluation
 
@@ -495,9 +528,16 @@ def validate_point(
     baseline: dict | None = None
     baseline_tier: str | None = None
     for tier in tiers:
-        with kernel.use_kernels(tier):
+        if tier not in _TIER_KERNELS:
+            raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
+        with kernel.use_kernels(_TIER_KERNELS[tier]):
             evaluation = run_evaluation(
                 loop, machine, model, register_budget, **knobs
+            )
+            chain = (
+                _chain_summary(loop, machine, model, register_budget, knobs)
+                if tier == "batch"
+                else None
             )
         if static and static_check is None:
             static_check = prove_evaluation(
@@ -510,23 +550,36 @@ def validate_point(
             tier=tier,
         )
         summary = _tier_summary(evaluation)
+        divergences: list[Mismatch] = []
+        if chain is not None and chain != summary:
+            divergences.append(
+                Mismatch(
+                    kind="tier",
+                    message=(
+                        "the engine's batch chain diverges from the "
+                        "executed per-point pipeline"
+                    ),
+                    expected=summary,
+                    observed=chain,
+                )
+            )
         if baseline is None:
             baseline, baseline_tier = summary, tier
         elif summary != baseline:
-            point = replace(
-                point,
-                mismatches=point.mismatches
-                + (
-                    Mismatch(
-                        kind="tier",
-                        message=(
-                            f"tier {tier!r} diverges from tier "
-                            f"{baseline_tier!r}"
-                        ),
-                        expected=baseline,
-                        observed=summary,
+            divergences.append(
+                Mismatch(
+                    kind="tier",
+                    message=(
+                        f"tier {tier!r} diverges from tier "
+                        f"{baseline_tier!r}"
                     ),
-                ),
+                    expected=baseline,
+                    observed=summary,
+                )
+            )
+        if divergences:
+            point = replace(
+                point, mismatches=point.mismatches + tuple(divergences)
             )
         points.append(point)
     return ValidationReport(points=tuple(points), static=static_check)

@@ -4,7 +4,7 @@ Validating every suite point under every model and tier would multiply the
 report's cost by an order of magnitude, so the gate samples: one seeded
 RNG (:func:`sample_indices`) picks ``samples`` loops out of the report's
 suite, and each sampled loop is validated under the full model grid
-(:data:`SAMPLE_MODELS`) across every kernel tier.  The seed is threaded
+(:data:`SAMPLE_MODELS`) across both evaluator tiers.  The seed is threaded
 from the caller all the way through sample selection, so consecutive
 ``repro report --check`` runs validate the *same* points -- a mismatch is
 reproducible, never a flake -- and the sampled set is pinned by tests.

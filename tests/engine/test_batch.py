@@ -1,11 +1,12 @@
-"""Grid-batched execution: batched == per-point == legacy, bit for bit.
+"""Grid-batched execution: batched == per-point == dict oracle, bit for bit.
 
-The batch tier moves sharing into the engine (one
-:class:`repro.kernel.batch.LoopChain` per job group), so the differential
-contract is stated here at the ``run_jobs`` boundary: the same job list
-must produce the same :class:`JobResult` objects under every kernel tier,
-over the golden Figure 8/9 bench grid and under every policy knob the
-array path claims to support.
+The engine moves sharing into one :class:`repro.kernel.batch.LoopChain`
+per job group, so the differential contract is stated here at the
+``run_jobs`` boundary: the same job list must produce the same
+:class:`JobResult` objects grouped through the chain, per point through
+the array kernels (``execute_job``), and on the dict oracle
+(``use_kernels(False)``), over the golden Figure 8/9 bench grid and under
+every policy knob the array path claims to support.
 """
 
 from __future__ import annotations
@@ -58,49 +59,41 @@ def grid_jobs(loops, machine):
     return jobs
 
 
-def _tiers(jobs, tiers=("batch", "1", "0")):
-    out = {}
-    for tier in tiers:
-        with kernel.use_kernels(tier):
-            out[tier] = run_jobs(jobs, workers=0, cache=None)
-    return out
+def _evaluators(jobs):
+    """Grouped ``run_jobs``, per-point kernels, and the dict oracle."""
+    grouped = run_jobs(jobs, workers=0, cache=None)
+    per_point = [execute_job(job) for job in jobs]
+    with kernel.use_kernels(False):
+        oracle = run_jobs(jobs, workers=0, cache=None)
+    return grouped, per_point, oracle
 
 
-class TestTierToggle:
-    def test_tier_round_trip(self):
-        prior = kernel.set_kernels("1")
-        try:
-            assert kernel.kernel_tier() == "1"
-            assert kernel.kernels_enabled()
-            assert not kernel.batch_enabled()
-            assert kernel.set_kernels("batch") == "1"
-            assert kernel.batch_enabled()
-        finally:
-            kernel.set_kernels(prior)
+class TestEvaluatorToggle:
+    def test_kernels_are_the_default(self):
+        assert kernel.kernels_enabled()
 
-    def test_boolean_compatibility(self):
-        with kernel.use_kernels(True):
-            assert kernel.kernel_tier() == "batch"
+    def test_oracle_toggle_restores(self):
         with kernel.use_kernels(False):
-            assert kernel.kernel_tier() == "0"
             assert not kernel.kernels_enabled()
+        assert kernel.kernels_enabled()
 
-    def test_unknown_value_normalizes_to_batch(self):
-        with kernel.use_kernels("2"):
-            assert kernel.kernel_tier() == "batch"
+    def test_oracle_skips_the_chain(self, loops, machine, monkeypatch):
+        """Under the oracle, ``execute_batch`` runs per job on dicts."""
 
-    def test_use_kernels_restores_tier(self):
-        before = kernel.kernel_tier()
-        with kernel.use_kernels("0"):
-            pass
-        assert kernel.kernel_tier() == before
+        def no_chain(*_args, **_kwargs):
+            raise AssertionError("the dict oracle must not build a chain")
+
+        monkeypatch.setattr(kbatch, "LoopChain", no_chain)
+        jobs = [evaluate_job(loops[0], machine, Model.UNIFIED, 32)]
+        with kernel.use_kernels(False):
+            assert execute_batch(jobs) == [execute_job(jobs[0])]
 
 
 class TestDifferential:
     def test_golden_grid_identical_across_tiers(self, grid_jobs):
-        out = _tiers(grid_jobs)
-        assert out["batch"] == out["1"]
-        assert out["1"] == out["0"]
+        grouped, per_point, oracle = _evaluators(grid_jobs)
+        assert grouped == per_point
+        assert per_point == oracle
 
     @pytest.mark.parametrize(
         "policy", ["first", "most_registers", "most_consumers", "least_traffic"]
@@ -112,8 +105,8 @@ class TestDifferential:
             )
             for loop in loops[:4]
         ]
-        out = _tiers(jobs)
-        assert out["batch"] == out["1"] == out["0"]
+        grouped, per_point, oracle = _evaluators(jobs)
+        assert grouped == per_point == oracle
 
     @pytest.mark.parametrize("escalation", ["increment", "geometric"])
     def test_increase_ii_strategy_identical(self, loops, escalation):
@@ -129,8 +122,8 @@ class TestDifferential:
             )
             for loop in loops[:4]
         ]
-        out = _tiers(jobs)
-        assert out["batch"] == out["1"] == out["0"]
+        grouped, per_point, oracle = _evaluators(jobs)
+        assert grouped == per_point == oracle
 
     def test_execute_batch_matches_execute_job(self, loops, machine):
         loop = loops[0]
@@ -155,8 +148,7 @@ class TestDifferential:
 class TestDispatch:
     def test_serial_fallback_groups_batches(self, grid_jobs):
         """``workers=0`` rides the grouped path, results in job order."""
-        with kernel.use_kernels("batch"):
-            batched = run_jobs(grid_jobs, workers=0, cache=None)
+        batched = run_jobs(grid_jobs, workers=0, cache=None)
         assert [r.loop_name for r in batched] == [
             job.loop.name for job in grid_jobs
         ]
@@ -178,10 +170,9 @@ class TestDispatch:
 
     def test_warm_second_pass_hits_cache(self, grid_jobs):
         cache = ResultCache(directory=None)
-        with kernel.use_kernels("batch"):
-            first = run_jobs(grid_jobs, workers=0, cache=cache)
-            lookups_before = cache.stats.lookups
-            second = run_jobs(grid_jobs, workers=0, cache=cache)
+        first = run_jobs(grid_jobs, workers=0, cache=cache)
+        lookups_before = cache.stats.lookups
+        second = run_jobs(grid_jobs, workers=0, cache=cache)
         assert first == second
         assert cache.stats.hits >= lookups_before  # second pass: all hits
 
@@ -208,8 +199,8 @@ class TestDispatch:
                 )
                 for loop in loops[:3]
             ]
-            out = _tiers(jobs)
-            assert out["batch"] == out["1"] == out["0"]
+            grouped, per_point, oracle = _evaluators(jobs)
+            assert grouped == per_point == oracle
         finally:
             del SPILL_POLICIES[LowestId.name]
 

@@ -125,15 +125,15 @@ class TestEngine:
 
 
 class TestChunkedDispatch:
-    def test_execute_chunk_preserves_indices(self, jobs):
+    def test_execute_batch_chunk_preserves_indices(self, jobs):
         from repro.engine.jobs import execute_job
-        from repro.engine.pool import _execute_chunk
+        from repro.engine.pool import _execute_batch_chunk, _group_misses
 
-        chunk = list(enumerate(jobs[:4]))
-        batch = _execute_chunk(chunk)
-        assert [index for index, _ in batch] == [0, 1, 2, 3]
-        for (index, result), job in zip(batch, jobs[:4]):
-            assert result == execute_job(job)
+        chunk = _group_misses(list(enumerate(jobs[:4])))
+        batch = _execute_batch_chunk(chunk)
+        assert sorted(index for index, _ in batch) == [0, 1, 2, 3]
+        for index, result in batch:
+            assert result == execute_job(jobs[index])
 
     def test_explicit_chunksize_matches_serial(self, jobs):
         serial = run_jobs(jobs, workers=0)

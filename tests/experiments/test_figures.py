@@ -128,6 +128,19 @@ class TestFigure8:
                     >= perf[(latency, 32, model)] - 1e-9
                 )
 
+    def test_partitioned_near_ideal_at_64(self, fig8):
+        perf = {
+            (c.latency, c.budget, c.model): c.performance for c in fig8
+        }
+        assert perf[(3, 64, Model.PARTITIONED)] >= 0.99
+        assert perf[(6, 64, Model.PARTITIONED)] >= 0.95
+
+    def test_unified_l6_r32_is_the_worst_cell(self, fig8):
+        perf = {
+            (c.latency, c.budget, c.model): c.performance for c in fig8
+        }
+        assert perf[(6, 32, Model.UNIFIED)] == min(perf.values())
+
     def test_report_renders(self, fig8):
         text = figure8.format_report(fig8)
         assert "Figure 8" in text and "L=6,R=32" in text

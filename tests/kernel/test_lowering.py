@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro import kernel
 from repro.ir.builder import LoopBuilder
 from repro.machine.config import example_config, paper_config
@@ -113,9 +115,9 @@ class TestToggle:
             assert kernel.kernels_enabled() is not initial
         assert kernel.kernels_enabled() is initial
 
-    def test_set_kernels_returns_prior(self):
-        prior = kernel.set_kernels(False)
-        try:
-            assert kernel.kernels_enabled() is False
-        finally:
-            kernel.set_kernels(prior)
+    def test_use_kernels_restores_state_on_error(self):
+        initial = kernel.kernels_enabled()
+        with pytest.raises(RuntimeError):
+            with kernel.use_kernels(not initial):
+                raise RuntimeError("boom")
+        assert kernel.kernels_enabled() is initial

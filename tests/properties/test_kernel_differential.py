@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro import kernel
 from repro.core.models import Model, required_registers
 from repro.core.swapping import SwapEstimator, greedy_swap
-from repro.engine.jobs import evaluate_job, pressure_job
+from repro.engine.jobs import evaluate_job, execute_job, pressure_job
 from repro.engine.pool import run_jobs
 from repro.ir.loop import Loop
 from repro.machine.config import clustered_config, paper_config
@@ -32,6 +32,12 @@ from repro.workloads.synthetic import generate_loop
 from strategies import dependence_graphs, high_pressure_graphs, machines
 
 SEEDS = range(24)
+
+#: Synthetic indices whose Swapped spill point is too slow on the dict
+#: reference swap search to re-run here (loop 4 has 99 ops).  Swapped
+#: dict-vs-kernel spill equality stays covered by the other indices and by
+#: ``TestBatchDifferential``'s high-pressure property.
+SLOW_SWAPPED_ORACLE = frozenset({4})
 
 
 def _both(fn):
@@ -97,11 +103,14 @@ class TestSyntheticLoops:
     @pytest.mark.parametrize("index", range(12))
     def test_spill_evaluation_identical(self, index, paper_l6):
         loop = generate_loop(index)
+        models = [Model.UNIFIED, Model.PARTITIONED]
+        if index not in SLOW_SWAPPED_ORACLE:
+            models.append(Model.SWAPPED)
 
         def evaluate():
             out = []
             store = ArtifactStore(max_entries=1024)
-            for model in (Model.UNIFIED, Model.PARTITIONED, Model.SWAPPED):
+            for model in models:
                 ev = run_evaluation(
                     loop, paper_l6, model, register_budget=24, store=store
                 )
@@ -167,14 +176,23 @@ class TestRandomGraphs:
         assert l0 == l1
 
 
+def _evaluators(jobs):
+    """Grouped ``run_jobs``, per-point kernels, and the dict oracle."""
+    grouped = run_jobs(jobs, workers=0, cache=None)
+    per_point = [execute_job(job) for job in jobs]
+    with kernel.use_kernels(False):
+        oracle = run_jobs(jobs, workers=0, cache=None)
+    return grouped, per_point, oracle
+
+
 class TestBatchDifferential:
-    """The engine's grid-batched tier against per-point and legacy.
+    """The engine's grid-batched chain against per-point and the oracle.
 
     The walk sharing of :class:`repro.kernel.batch.LoopChain` (memoized
     chain nodes, lower-bound gating, array-space spilling) must be
     invisible at the ``run_jobs`` boundary: every (model, budget) point of
-    a random graph returns the identical :class:`JobResult` under tiers
-    ``"batch"``, ``"1"`` and ``"0"``.
+    a random graph returns the identical :class:`JobResult` grouped through
+    the chain, per point through ``execute_job``, and on the dict oracle.
     """
 
     @given(dependence_graphs(), st.sampled_from([3, 6]))
@@ -187,12 +205,9 @@ class TestBatchDifferential:
             for model in (Model.UNIFIED, Model.PARTITIONED, Model.SWAPPED):
                 jobs.append(evaluate_job(loop, machine, model, budget))
         jobs.append(pressure_job(loop, machine))
-        out = {}
-        for tier in ("batch", "1", "0"):
-            with kernel.use_kernels(tier):
-                out[tier] = run_jobs(jobs, workers=0, cache=None)
-        assert out["batch"] == out["1"]
-        assert out["1"] == out["0"]
+        grouped, per_point, oracle = _evaluators(jobs)
+        assert grouped == per_point
+        assert per_point == oracle
 
     @given(high_pressure_graphs(), machines())
     @settings(max_examples=10, deadline=None)
@@ -200,15 +215,12 @@ class TestBatchDifferential:
         """The adversarial shapes the sim differential sweeps -- dense
         arithmetic, pre-spilled store/reload chains, distance>1 edges,
         degenerate single-cluster machines -- must also leave the kernel
-        tiers bit-identical at the ``run_jobs`` boundary."""
+        evaluators bit-identical at the ``run_jobs`` boundary."""
         loop = Loop(name="hyp-pressure", graph=graph, trip_count=50)
         jobs = [evaluate_job(loop, machine, Model.IDEAL, None)]
         for model in (Model.UNIFIED, Model.PARTITIONED, Model.SWAPPED):
             jobs.append(evaluate_job(loop, machine, model, 6))
         jobs.append(pressure_job(loop, machine))
-        out = {}
-        for tier in ("batch", "1", "0"):
-            with kernel.use_kernels(tier):
-                out[tier] = run_jobs(jobs, workers=0, cache=None)
-        assert out["batch"] == out["1"]
-        assert out["1"] == out["0"]
+        grouped, per_point, oracle = _evaluators(jobs)
+        assert grouped == per_point
+        assert per_point == oracle

@@ -1,10 +1,11 @@
 """Simulator-grounded differential properties: execution proves analysis.
 
 Every randomly generated loop point is pushed through the full pipeline
-under every kernel tier (``batch``/``1``/``0``) and then *executed*
+under both evaluator tiers (``batch``/``0``) and then *executed*
 cycle-by-cycle: :func:`repro.validate.validate_point` cross-checks the
 observed II, per-file register occupancy, and memory-bus traffic against
-the analytical claims, and requires the tiers to agree with each other.
+the analytical claims, and requires the tiers -- and the engine's batch
+chain -- to agree with each other.
 A failure here is an execution counterexample, not a modelling
 disagreement -- the reproducer spec in the failure output replays it.
 """

@@ -54,7 +54,7 @@ class TestValidateWire:
             loop=LoopSpec(kind="kernel", name="daxpy"),
             model="swapped",
             register_budget=16,
-            tiers=("1", "0"),
+            tiers=("batch", "0"),
         )
         data = request.to_dict()
         assert data["type"] == "validate"
@@ -62,10 +62,11 @@ class TestValidateWire:
         assert rebuilt == request
 
     def test_bad_tier_rejected(self):
-        with pytest.raises(RequestValidationError):
-            ValidateRequest(
-                loop=LoopSpec(kind="example"), tiers=("batch", "2")
-            )
+        for bad in ("2", "1"):  # "1": the retired per-point tier
+            with pytest.raises(RequestValidationError):
+                ValidateRequest(
+                    loop=LoopSpec(kind="example"), tiers=("batch", bad)
+                )
 
     def test_empty_tiers_rejected(self):
         with pytest.raises(RequestValidationError):
@@ -89,7 +90,7 @@ class TestSessionValidate:
         assert isinstance(response, ValidateResponse)
         assert response.ok, response.text
         assert response.mismatches == 0
-        assert response.points == 3  # one per tier
+        assert response.points == 2  # one per tier
         assert response.loop_name == "daxpy"
 
     def test_catches_injected_corruption(self, monkeypatch):
@@ -100,7 +101,7 @@ class TestSessionValidate:
                     loop=LoopSpec(kind="kernel", name="daxpy"),
                     model="unified",
                     register_budget=32,
-                    tiers=("1",),
+                    tiers=("batch",),
                 )
             )
         assert not response.ok

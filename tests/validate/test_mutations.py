@@ -1,10 +1,12 @@
-"""Mutation tests: the differential gate must catch injected allocation bugs.
+"""Mutation tests: the differential gate must catch injected bugs.
 
-Each test corrupts a *real* allocation through the
+Most tests corrupt a *real* allocation through the
 :func:`repro.validate.differential.allocation_for` seam -- the graph and
 the analytical pipeline stay untouched, so the reference interpreter still
-computes the true values -- and asserts the validator reports the bug with
-the right kind and actionable coordinates (op, cycle, register).
+computes the true values -- and assert the validator reports the bug with
+the right kind and actionable coordinates (op, cycle, register).  One
+corrupts the engine's batch chain instead, which serves every
+run/report/serve result and must agree with the executed pipeline.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 
 from repro.core.models import Model
 from repro.ir.operation import OpType
+from repro.kernel.batch import LoopChain
 from repro.machine.config import paper_config
 from repro.pipeline.pipelines import run_evaluation
 from repro.regalloc.firstfit import AllocationResult, PlacedLifetime, first_fit
@@ -128,3 +131,22 @@ def test_mutation_seam_is_module_level(monkeypatch):
     sentinel = object()
     monkeypatch.setattr(SEAM, lambda _ev: sentinel)
     assert differential.allocation_for(None) is sentinel
+
+
+def test_chain_divergence_is_caught(loop, machine, monkeypatch):
+    """A chain that reports II + 1 is a ``tier`` mismatch on ``batch``."""
+    original = LoopChain.evaluate
+
+    def off_by_one(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        return dataclasses.replace(result, ii=result.ii + 1)
+
+    monkeypatch.setattr(LoopChain, "evaluate", off_by_one)
+    report = differential.validate_point(
+        loop, machine, Model.UNIFIED, 32, static=False
+    )
+    assert not report.ok
+    (mismatch,) = report.mismatches
+    assert mismatch.kind == "tier"
+    assert "chain" in mismatch.message
+    assert mismatch.observed["ii"] == mismatch.expected["ii"] + 1
