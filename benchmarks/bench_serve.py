@@ -3,9 +3,11 @@
 Spawns real server subprocesses (single-process and scale-out), drives
 them with persistent-connection client threads over the bench grid's
 evaluate workload, and reports p50/p99 latency, points/second, and the
-sharded-vs-single ``serve_scaleout`` ratio -- the same measurement
-``python -m repro bench`` records in BENCH.json, exposed here with knobs
-for exploring client counts, workload shapes, and worker counts.
+single-over-sharded wall-time ratio -- the ``serve_single`` /
+``serve_throughput`` measurements ``python -m repro bench`` records in
+BENCH.json, exposed here with knobs for exploring client counts,
+workload shapes, and worker counts.  The ratio mostly reflects the
+host's core count and is informational.
 
 Run from the repo root (the repo ships no installer)::
 

@@ -1,9 +1,9 @@
 """Load generation for the serve front-end, shared by bench and CI.
 
-Three pieces, reused by ``python -m repro bench`` (the ``serve_single`` /
-``serve_throughput`` scenarios behind the gated ``serve_scaleout``
-ratio), by ``benchmarks/bench_serve.py`` (the standalone load harness),
-and by the CI smoke step:
+Three pieces, reused by ``python -m repro bench`` (the informational
+``serve_single`` / ``serve_throughput`` scenarios), by
+``benchmarks/bench_serve.py`` (the standalone load harness), and by the
+CI smoke step:
 
 * :func:`build_workload` -- deterministic request bodies off the bench
   grid (:func:`repro.bench.bench_grid`'s loops x models x budgets), in

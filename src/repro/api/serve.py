@@ -77,6 +77,11 @@ MAX_BODY_BYTES = 1 << 20
 #: Default bound on concurrently admitted requests per worker process.
 DEFAULT_MAX_INFLIGHT = 64
 
+#: Listen backlog of every topology.  socketserver's default of 5 makes
+#: the kernel drop connection bursts, which clients only notice as ~1 s
+#: SYN-retransmit stalls.
+LISTEN_BACKLOG = 256
+
 
 @dataclass
 class ServeConfig:
@@ -210,6 +215,7 @@ class ReproServer(ThreadingHTTPServer):
     daemon_threads = False
     block_on_close = True
     allow_reuse_address = True
+    request_queue_size = LISTEN_BACKLOG
 
     def __init__(
         self,
@@ -270,6 +276,9 @@ class _Handler(BaseHTTPRequestHandler):
     #: declared more body than it sends, releases its thread in bounded
     #: time instead of hanging it forever.
     timeout = 30
+    #: Responses go out as separate header and body writes; with Nagle on,
+    #: the body waits for the client's delayed ACK (~40 ms per request).
+    disable_nagle_algorithm = True
     server: ReproServer  # narrowed for type checkers
 
     # ------------------------------------------------------------------
@@ -662,7 +671,9 @@ def run_sharded(config: ServeConfig) -> int:
             "run with --workers 0 on this platform"
         )
     listener = socket.create_server(
-        (config.host, config.port), backlog=256, reuse_port=not can_fork
+        (config.host, config.port),
+        backlog=LISTEN_BACKLOG,
+        reuse_port=not can_fork,
     )
     port = listener.getsockname()[1]
     state_dir = tempfile.mkdtemp(prefix="repro-serve-")
@@ -786,6 +797,7 @@ def serve(config: ServeConfig) -> int:
 
 __all__ = [
     "DEFAULT_MAX_INFLIGHT",
+    "LISTEN_BACKLOG",
     "MAX_BODY_BYTES",
     "ReproServer",
     "ServeConfig",

@@ -32,17 +32,16 @@ Scenarios:
   coalescing concurrent requests into engine batches).  Both serve
   scenarios spawn real subprocess servers on ephemeral ports and drive
   them with persistent-connection clients (:mod:`repro.api.loadtest`).
+  They are informational: their relative speed mostly measures the
+  host's core count, so no ratio is derived from them.
 
 The regression gate (``--baseline`` / ``--max-regression``) compares the
 hardware-independent ratios -- ``kernel_speedup`` (``cold_legacy /
-cold_kernel``), ``batch_speedup`` (``cold_kernel / cold_batch``) and
-``serve_scaleout`` (``serve_single / serve_throughput`` wall time) -- not
-wall seconds: wall time varies with the host, while the speedup of the same
-grid on the same interpreter is a property of the code.  Ratios whose
-value is known to depend on host facts beyond the interpreter (core
-count, scheduler) carry a wider per-ratio tolerance
-(:data:`RATIO_TOLERANCES`).  Ratios the baseline file predates are
-reported as notes, never spurious failures.  See ``docs/performance.md``.
+cold_kernel``) and ``batch_speedup`` (``cold_kernel / cold_batch``) --
+not wall seconds: wall time varies with the host, while the speedup of
+the same grid on the same interpreter is a property of the code.  Ratios
+the baseline file predates are reported as notes, never spurious
+failures.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -95,20 +94,11 @@ SERVE_CLIENTS = 32
 #: Suite size of the serve workload, fixed regardless of ``--loops``.
 #: The serve scenarios measure the *serving stack* -- HTTP dispatch,
 #: admission, cross-request coalescing, the shared cache -- under a
-#: standardized request mix, so their numbers (and the gated
-#: ``serve_scaleout`` ratio) stay comparable between the CI snapshot and
-#: the full BENCH.json run.  Scaling grid compute is what the cold/warm
-#: scenarios are for; folding it in here would just drown the serving
-#: overhead being measured.
+#: standardized request mix, so their numbers stay comparable between the
+#: CI snapshot and the full BENCH.json run.  Scaling grid compute is what
+#: the cold/warm scenarios are for; folding it in here would just drown
+#: the serving overhead being measured.
 SERVE_LOOPS = 24
-
-#: Per-ratio regression tolerance overrides.  ``serve_scaleout`` depends
-#: on the host's core count and scheduler as well as the code, so it gets
-#: a wide band: the gate catches the ratio collapsing (a broken
-#: dispatcher or cache), not host-to-host variance.  A ratio not listed
-#: here uses ``--max-regression`` unchanged.
-RATIO_TOLERANCES = {"serve_scaleout": 0.5}
-
 
 def bench_grid(
     loops: Sequence[Loop], machine: MachineConfig
@@ -338,13 +328,6 @@ def run_bench(
         snapshot["ratios"]["warm_speedup"] = (
             round(results["cold_kernel"]["seconds"] / warm, 2) if warm else 0.0
         )
-    if "serve_single" in results and "serve_throughput" in results:
-        sharded = results["serve_throughput"]["seconds"]
-        snapshot["ratios"]["serve_scaleout"] = (
-            round(results["serve_single"]["seconds"] / sharded, 2)
-            if sharded
-            else 0.0
-        )
     return snapshot
 
 
@@ -407,16 +390,11 @@ def check_regression(
                 f"scenarios to compute it"
             )
             continue
-        # Host-sensitive ratios carry their own wider tolerance; the CLI
-        # flag can only widen further, never tighten past the per-ratio
-        # floor (a strict --max-regression must not make serve_scaleout
-        # flaky across differently-sized runners).
-        tolerance = max(max_regression, RATIO_TOLERANCES.get(name, 0.0))
-        floor = reference * (1.0 - tolerance)
+        floor = reference * (1.0 - max_regression)
         if current < floor:
             failures.append(
                 f"{name}: {current}x is below {floor:.2f}x "
-                f"(baseline {reference}x - {tolerance:.0%} tolerance)"
+                f"(baseline {reference}x - {max_regression:.0%} tolerance)"
             )
     return failures
 
@@ -481,7 +459,6 @@ __all__ = [
     "BUDGETS",
     "LATENCY",
     "MODELS",
-    "RATIO_TOLERANCES",
     "SCENARIOS",
     "SERVE_CLIENTS",
     "SERVE_LOOPS",

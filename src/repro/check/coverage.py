@@ -9,6 +9,16 @@ file model -- and proves each evaluated point with
 --static`` and the report's check gate call this; the bench ``check``
 scenario times it to document that 100% coverage is affordable.
 
+Every point is proved on the evaluator that produces it for run, report
+and serve: one :class:`~repro.kernel.batch.LoopChain` per loop serves all
+of the loop's models, and each walk's exit node is materialized
+(:meth:`~repro.kernel.batch.LoopChain.materialize`) into the schedule and
+allocation the proof reads.  :func:`chain_claims` additionally holds the
+chain's served summary numbers to those artifacts.  Knobs without an array
+implementation, and the dict oracle (``use_kernels(False)``), fall back to
+the per-point :func:`~repro.pipeline.pipelines.run_evaluation` under the
+engine's own routing rule (:func:`repro.kernel.batch.chain_enabled`).
+
 Layering: ``check`` sits below ``validate`` (validate imports check and
 folds findings into its reports), so the model grid and suite defaults
 are defined here rather than imported from the sampling module.
@@ -17,15 +27,17 @@ are defined here rather than imported from the sampling module.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from repro.check.invariants import StaticCheck, check_evaluation
+from repro.check.invariants import Finding, StaticCheck, check_evaluation
 from repro.core.models import Model
+from repro.core.swapping import SwapEstimator
 from repro.ir.loop import Loop
+from repro.kernel.batch import BatchEvaluation, LoopChain, chain_enabled
 from repro.machine.config import MachineConfig, paper_config
-from repro.pipeline.context import ArtifactStore
 from repro.pipeline.pipelines import run_evaluation
+from repro.spill.spiller import LoopEvaluation
 from repro.workloads.suite import DEFAULT_SEED, perfect_club_like
 
 DEFAULT_LATENCY = 6
@@ -102,20 +114,108 @@ class StaticValidation:
         return "\n".join(lines)
 
 
+def chain_claims(
+    summary: BatchEvaluation, evaluation: LoopEvaluation
+) -> list[Finding]:
+    """Findings for each served chain number its own artifacts contradict.
+
+    The engine serves the chain's summary, while the proof reads the
+    materialized schedule and allocation; a point is only proved when the
+    two agree on every number the summary carries.
+    """
+    pairs = {
+        "ii": (evaluation.ii, summary.ii),
+        "memory_ops_per_iteration": (
+            evaluation.memory_ops_per_iteration,
+            summary.memory_ops,
+        ),
+        "spill_ops_per_iteration": (
+            evaluation.spill_ops_per_iteration,
+            summary.spill_ops,
+        ),
+        "registers_required": (
+            evaluation.requirement.registers,
+            summary.registers,
+        ),
+    }
+    return [
+        Finding(
+            kind="claim",
+            message=(
+                f"the chain's claimed {name} differs from its materialized "
+                f"schedule and allocation"
+            ),
+            expected=truth,
+            observed=claim,
+        )
+        for name, (truth, claim) in pairs.items()
+        if truth != claim
+    ]
+
+
+def point_chain(
+    loop: Loop,
+    machine: MachineConfig,
+    victim_policy: str = "longest",
+    pressure_strategy: str = "spill",
+    ii_escalation: str = "increment",
+) -> LoopChain | None:
+    """The chain that evaluates ``loop``'s points, or ``None`` per point."""
+    if not chain_enabled(victim_policy, pressure_strategy):
+        return None
+    return LoopChain(
+        loop.graph,
+        machine,
+        victim_policy=victim_policy,
+        pressure_strategy=pressure_strategy,
+        ii_escalation=ii_escalation,
+    )
+
+
 def check_grid_point(
     loop: Loop,
     machine: MachineConfig,
     model: Model,
     register_budget: int | None,
     reproducer: dict | None = None,
-    store: ArtifactStore | None = None,
-    **knobs: object,
+    chain: LoopChain | None = None,
+    swap_estimator: SwapEstimator = SwapEstimator.MAXLIVE,
+    max_rounds: int = 200,
+    victim_policy: str = "longest",
+    pressure_strategy: str = "spill",
+    ii_escalation: str = "increment",
 ) -> StaticCheck:
-    """Evaluate one point and statically prove it."""
-    evaluation = run_evaluation(
-        loop, machine, model, register_budget, store=store, **knobs
+    """Evaluate one point on the production evaluator and prove it.
+
+    ``chain`` lends the loop's :func:`point_chain` (built with the same
+    knobs) so a grid shares one chain across the loop's points; without
+    it one is built here, or the point falls back to ``run_evaluation``.
+    """
+    if chain is None:
+        chain = point_chain(
+            loop, machine, victim_policy, pressure_strategy, ii_escalation
+        )
+    if chain is None:
+        evaluation = run_evaluation(
+            loop,
+            machine,
+            model,
+            register_budget,
+            swap_estimator=swap_estimator,
+            max_rounds=max_rounds,
+            victim_policy=victim_policy,
+            pressure_strategy=pressure_strategy,
+            ii_escalation=ii_escalation,
+        )
+        return check_evaluation(evaluation, reproducer=reproducer)
+    summary, evaluation = chain.materialize(
+        loop, model, register_budget, swap_estimator, max_rounds
     )
-    return check_evaluation(evaluation, reproducer=reproducer)
+    check = check_evaluation(evaluation, reproducer=reproducer)
+    claims = chain_claims(summary, evaluation)
+    if claims:
+        check = replace(check, findings=check.findings + tuple(claims))
+    return check
 
 
 def run_static_validation(
@@ -128,9 +228,10 @@ def run_static_validation(
 ) -> StaticValidation:
     """Statically verify every point of the suite grid.
 
-    Unlike the sampled simulator gate this covers 100% of points; one
-    shared :class:`ArtifactStore` keeps the evaluation side warm so the
-    cost is dominated by the proofs themselves.
+    Unlike the sampled simulator gate this covers 100% of points.  Each
+    loop's points share one chain, so a loop is scheduled once per chain
+    state rather than once per point, and only exit nodes are
+    materialized for the proofs.
     """
     start = time.perf_counter()
     suite = (
@@ -139,11 +240,11 @@ def run_static_validation(
         else list(perfect_club_like(n_loops, seed=suite_seed))
     )
     machine = paper_config(latency)
-    store = ArtifactStore()
     grid = tuple(models)
     total = len(suite) * len(grid)
     points: list[StaticCheck] = []
     for index, loop in enumerate(suite):
+        chain = point_chain(loop, machine)
         for model, budget in grid:
             reproducer = {
                 "loop": {
@@ -168,7 +269,7 @@ def run_static_validation(
                     model,
                     budget,
                     reproducer=reproducer,
-                    store=store,
+                    chain=chain,
                 )
             )
             if progress is not None:
@@ -187,6 +288,8 @@ __all__ = [
     "CHECK_MODELS",
     "DEFAULT_LATENCY",
     "StaticValidation",
+    "chain_claims",
     "check_grid_point",
+    "point_chain",
     "run_static_validation",
 ]

@@ -67,7 +67,7 @@ class Finding:
 
     kind: str  # "dependence" | "resource" | "mii" | "allocation" |
     #           "lifetime" | "classification" | "swap" | "requirement" |
-    #           "spill" | "traffic" | "bus"
+    #           "spill" | "traffic" | "bus" | "claim"
     message: str
     op: str | None = None
     cycle: int | None = None

@@ -29,7 +29,6 @@ from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence
 
-from repro import kernel
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.ir.loop import Loop
@@ -351,9 +350,7 @@ def execute_batch(jobs: Sequence[EvalJob]) -> list[JobResult]:
     oracle is selected (``kernel.use_kernels(False)``).
     """
     first = jobs[0]
-    if not kernel.kernels_enabled() or not kbatch.supports(
-        first.victim_policy, first.pressure_strategy
-    ):
+    if not kbatch.chain_enabled(first.victim_policy, first.pressure_strategy):
         return [execute_job(job) for job in jobs]
     chain = kbatch.LoopChain(
         first.loop.graph,

@@ -34,6 +34,15 @@ and the dict reference by the differential suite
 (``tests/properties/test_batch_differential.py``, ``tests/engine/test_batch.py``);
 the chain is the same state machine, traversed once instead of per point.
 
+Grid walks return summary numbers only.  The static proof needs the real
+artifacts, so :meth:`LoopChain.materialize` additionally lifts the node a
+walk exits on to a full :class:`~repro.spill.spiller.LoopEvaluation`: the
+node's graph is replayed lazily with :func:`~repro.spill.spiller.spill_value`
+on the victims along the chain, its array schedule becomes a verified
+:class:`~repro.sched.schedule.Schedule`, and the allocation is the public
+:func:`~repro.core.models.required_registers`.  Grid, serve and ``repro run``
+never pay for it.
+
 This module deliberately knows nothing about engine jobs: grouping (by the
 same content fingerprints that key the pipeline ``ArtifactStore``) and the
 result dataclasses live in :mod:`repro.engine.jobs`.
@@ -43,11 +52,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.models import Model
+from repro.core.models import Model, required_registers
 from repro.core.swapping import SwapEstimator
 from repro.ir.ddg import DependenceGraph
+from repro.ir.loop import Loop
 from repro.ir.operation import OpType
 from repro.kernel import dual as kdual
+from repro.kernel import kernels_enabled
 from repro.kernel import modulo as kmodulo
 from repro.kernel.firstfit import BitOccupancy, first_fit_shift
 from repro.kernel.lifetimes import lifetime_bounds, live_profile_spans
@@ -55,7 +66,10 @@ from repro.kernel.loop import LoopArrays, lower_loop
 from repro.kernel.swap import greedy_swap_search
 from repro.machine.config import MachineConfig
 from repro.pipeline.policies import get_escalation
-from repro.sched.modulo import SchedulingFailure
+from repro.regalloc.lifetimes import Lifetime, lifetimes
+from repro.sched.modulo import SchedulingFailure, _materialize
+from repro.sched.schedule import Schedule
+from repro.spill.spiller import LoopEvaluation, spill_value
 
 #: Victim policies with an array-native implementation below.  Custom
 #: registered policies are arbitrary Python objects interrogating Schedule
@@ -75,6 +89,18 @@ def supports(victim_policy: str, pressure_strategy: str) -> bool:
     if pressure_strategy == "increase_ii":
         return True
     return pressure_strategy == "spill" and victim_policy in ARRAY_POLICIES
+
+
+def chain_enabled(victim_policy: str, pressure_strategy: str) -> bool:
+    """Whether points with these knobs are evaluated on a :class:`LoopChain`.
+
+    The one routing rule of every caller that can either walk a chain or
+    run the per-point pipeline (the engine's job groups, the static
+    proof): the array kernels must be selected -- ``use_kernels(False)``
+    routes everything to the dict oracle -- and the knobs must have an
+    array implementation (:func:`supports`).
+    """
+    return kernels_enabled() and supports(victim_policy, pressure_strategy)
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +264,9 @@ class _Node:
     :class:`DependenceGraph` (via the chain); spill children live entirely
     in array space (:func:`_spill_arrays`), and an escalation child shares
     the parent's lowered arrays and MII outright (the graph is unchanged;
-    only the scheduling floor moves).
+    only the scheduling floor moves).  ``origin`` records how a child was
+    derived -- ``(parent, victim op id)`` for a spill, ``(parent, None)``
+    for an escalation -- so :attr:`graph` can replay it on demand.
     """
 
     __slots__ = (
@@ -260,6 +288,10 @@ class _Node:
         "_esc_child",
         "_exact",
         "_dual_lb",
+        "_origin",
+        "_graph",
+        "_schedule",
+        "_lifetimes",
     )
 
     def __init__(
@@ -273,6 +305,7 @@ class _Node:
         la: LoopArrays | None = None,
         mii: int | None = None,
         extra: list[tuple[int, int, int, int]] | None = None,
+        origin: "tuple[_Node, int | None] | None" = None,
     ) -> None:
         self.chain = chain
         self.min_ii = min_ii
@@ -296,6 +329,10 @@ class _Node:
         self._esc_child: "_Node | None" = None
         self._exact: dict = {}
         self._dual_lb: int | None = None
+        self._origin = origin
+        self._graph: DependenceGraph | None = None
+        self._schedule: Schedule | None = None
+        self._lifetimes: dict[int, Lifetime] | None = None
 
     # ------------------------------------------------------------------
     # Schedule-stage artifacts (computed once, shared by every walk)
@@ -391,6 +428,52 @@ class _Node:
                 cluster_of[pool[i]][insts[i]] for i in range(la.n)
             ]
         return self._asg
+
+    # ------------------------------------------------------------------
+    # Materialization (proof path only; grid walks never touch these)
+    # ------------------------------------------------------------------
+    @property
+    def graph(self) -> DependenceGraph:
+        """This state's dependence graph, replayed from the root on demand.
+
+        Each spill child re-applies :func:`spill_value` to its parent's
+        graph with the victim's op id, which allocates the same ids
+        :func:`_spill_arrays` appended; an escalation child shares its
+        parent's graph.  Walks that pass through a node share its replay.
+        """
+        if self._graph is None:
+            if self._origin is None:
+                self._graph = self.chain.graph
+            else:
+                parent, victim_op = self._origin
+                graph = parent.graph
+                self._graph = (
+                    graph if victim_op is None else spill_value(graph, victim_op)
+                )
+        return self._graph
+
+    @property
+    def schedule(self) -> Schedule:
+        """The array schedule lifted to a verified :class:`Schedule`.
+
+        ``verify`` also rejects a replayed graph whose op ids or pools
+        disagree with the chain's arrays.
+        """
+        if self._schedule is None:
+            times, insts, ii = self.sched
+            placements = _materialize(self.la, (times, insts))
+            assert placements is not None
+            schedule = Schedule(self.graph, self.chain.machine, ii, placements)
+            schedule.verify()
+            self._schedule = schedule
+        return self._schedule
+
+    @property
+    def lifetimes(self) -> dict[int, Lifetime]:
+        """Lifetimes of :attr:`schedule`, shared by every model's allocation."""
+        if self._lifetimes is None:
+            self._lifetimes = lifetimes(self.schedule)
+        return self._lifetimes
 
     # ------------------------------------------------------------------
     # Requirements: lower bounds gate, exact values memoize per model
@@ -570,6 +653,7 @@ class _Node:
                 machine.latency_of(OpType.LOAD),
             )
             added = 1 + n_loads
+            victim_op = la.ids[la.values[self.victim]]
             self._spill_child = _Node(
                 self.chain,
                 self.min_ii,
@@ -579,6 +663,7 @@ class _Node:
                 self.is_spill_store + [True] + [False] * n_loads,
                 la=child_la,
                 extra=child_extra,
+                origin=(self, victim_op),
             )
         return self._spill_child
 
@@ -595,6 +680,7 @@ class _Node:
                 la=self._la,
                 mii=self._mii,
                 extra=self._extra,
+                origin=(self, None),
             )
         return self._esc_child
 
@@ -686,6 +772,56 @@ class LoopChain:
         counters and the halt test); states and transitions come from the
         shared chain, so the Nth point of a sweep traverses memoized nodes.
         """
+        return self._walk(model, register_budget, estimator, max_rounds)[0]
+
+    def materialize(
+        self,
+        loop: Loop,
+        model: Model,
+        register_budget: int | None,
+        estimator: SwapEstimator,
+        max_rounds: int = 200,
+    ) -> tuple[BatchEvaluation, LoopEvaluation]:
+        """Walk like :meth:`evaluate`, then lift the exit node to artifacts.
+
+        Returns the walk's summary (the numbers the engine serves) together
+        with the full :class:`LoopEvaluation` of the node the walk exits on:
+        the last *measured* state, exactly ``run_evaluation``'s
+        ``last_schedule`` even when the round cap expires after a spill.
+        The evaluation carries the chain's own claims (MII, spills, II
+        increases, fit verdict) next to the materialized schedule and
+        allocation; the requirement is the allocation's, never the walk's
+        ``registers``, so a disagreement between the two stays visible to
+        the caller (:func:`repro.check.coverage.chain_claims` turns it into
+        a finding).
+        """
+        summary, node = self._walk(
+            model, register_budget, estimator, max_rounds
+        )
+        requirement = required_registers(
+            node.schedule, model, estimator, lts=node.lifetimes
+        )
+        return summary, LoopEvaluation(
+            loop=loop,
+            machine=self.machine,
+            model=model,
+            register_budget=register_budget,
+            schedule=node.schedule,
+            requirement=requirement,
+            mii=summary.mii,
+            spilled_values=summary.spilled_values,
+            ii_increases=summary.ii_increases,
+            fits=summary.fits,
+        )
+
+    def _walk(
+        self,
+        model: Model,
+        register_budget: int | None,
+        estimator: SwapEstimator,
+        max_rounds: int,
+    ) -> tuple[BatchEvaluation, _Node]:
+        """The walk behind :meth:`evaluate`, plus the node it exits on."""
         budget = None if model is Model.IDEAL else register_budget
         select_victims = self.strategy == "spill"
         escalation = self.escalation
@@ -749,7 +885,7 @@ class LoopChain:
             memory_ops=last.mem_ops,
             spill_ops=last.spill_ops,
             registers=registers,
-        )
+        ), last
 
 
 __all__ = [
@@ -758,5 +894,6 @@ __all__ = [
     "BatchPressure",
     "LoopChain",
     "array_mii",
+    "chain_enabled",
     "supports",
 ]

@@ -13,7 +13,7 @@ differential gate:
 * :func:`validate_point` does so under both evaluator tiers (``batch``,
   the production array kernels, and ``0``, the dict oracle), additionally
   requiring the tiers' analytics -- and the engine's batch chain -- to
-  agree;
+  agree, and statically proves the chain's materialized point;
 * :func:`run_sampled_validation` drives a seeded sample of suite points
   through the above -- the ``repro report --check`` and ``repro
   validate`` entry.

@@ -28,7 +28,8 @@ dict oracle) -- and requires the tiers to agree with each other *and* with
 execution.  The ``batch`` tier also evaluates the point through the
 engine's :class:`~repro.kernel.batch.LoopChain` (the evaluator behind
 every run/report/serve result), whose summary must match the executed
-per-point pipeline.
+per-point pipeline; its static proof reads the chain's own materialized
+schedule and allocation.
 
 :func:`allocation_for` is deliberately a module-level seam: mutation
 tests (and the ``report --check`` teeth test) monkeypatch it to inject a
@@ -41,8 +42,8 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro import kernel
+from repro.check.coverage import check_grid_point
 from repro.check.invariants import StaticCheck
-from repro.check.invariants import check_evaluation as prove_evaluation
 from repro.core.dualfile import DualAllocation
 from repro.core.models import Model
 from repro.ir.loop import Loop
@@ -513,18 +514,31 @@ def validate_point(
     :func:`~repro.engine.jobs.evaluate_job`) -- the evaluator that serves
     every run/report/serve result -- and reports a ``tier`` mismatch when
     the chain's summary differs from the executed per-point pipeline.
-    ``static=True`` (the default) additionally proves the first tier's
-    schedule/allocation analytically
-    (:func:`repro.check.invariants.check_evaluation`) -- the O(ops)
-    static tier that runs on 100% of points where simulation samples.
-    Extra ``knobs`` (the policy knobs shared by
-    :func:`repro.pipeline.pipelines.run_evaluation` and
-    :func:`~repro.engine.jobs.evaluate_job`) ride into both verbatim.
+    ``static=True`` (the default) additionally proves, analytically, the
+    schedule/allocation of the evaluator that serves the point
+    (:func:`repro.check.coverage.check_grid_point`: the chain's
+    materialized exit node, or the per-point pipeline where the engine
+    falls back to it) -- the O(ops) static tier that runs on 100% of
+    points where simulation samples.  Extra ``knobs`` (the policy knobs
+    shared by :func:`repro.pipeline.pipelines.run_evaluation` and
+    :func:`~repro.engine.jobs.evaluate_job`) ride into all of them
+    verbatim.
     """
     from repro.pipeline.pipelines import run_evaluation
 
     points: list[PointValidation] = []
-    static_check: StaticCheck | None = None
+    static_check = (
+        check_grid_point(
+            loop,
+            machine,
+            model,
+            register_budget,
+            reproducer=reproducer,
+            **knobs,
+        )
+        if static
+        else None
+    )
     baseline: dict | None = None
     baseline_tier: str | None = None
     for tier in tiers:
@@ -538,10 +552,6 @@ def validate_point(
                 _chain_summary(loop, machine, model, register_budget, knobs)
                 if tier == "batch"
                 else None
-            )
-        if static and static_check is None:
-            static_check = prove_evaluation(
-                evaluation, reproducer=reproducer
             )
         point = validate_evaluation(
             evaluation,

@@ -1,7 +1,10 @@
 """The serve front-end: routes, envelopes, shared cache, shutdown."""
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -9,7 +12,12 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import API_SCHEMA_VERSION, Session
-from repro.api.serve import MAX_BODY_BYTES, ReproServer, ServeConfig
+from repro.api.serve import (
+    LISTEN_BACKLOG,
+    MAX_BODY_BYTES,
+    ReproServer,
+    ServeConfig,
+)
 
 
 #: How often the test servers' loops check for shutdown; the stdlib
@@ -223,6 +231,36 @@ class TestSharedCache:
         _, health = _request(server, "GET", "/v1/health")
         assert health["result"]["cache"]["hits"] >= 5
         assert health["result"]["requests_served"] >= 6
+
+
+class TestSocketLatency:
+    """Cache hits cost milliseconds on the wire, not a delayed-ACK wait."""
+
+    def test_listen_backlog_absorbs_bursts(self, server):
+        assert server.request_queue_size == LISTEN_BACKLOG
+
+    def test_warm_keepalive_hits_skip_the_delayed_ack_floor(self, server):
+        # Headers and body leave as two writes; with Nagle's algorithm on,
+        # the body waits for the client's delayed ACK, ~40 ms per request.
+        body = json.dumps(EVALUATE).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=60
+        )
+        try:
+            elapsed = []
+            for _ in range(21):
+                start = time.perf_counter()
+                connection.request("POST", "/v1/evaluate", body, headers)
+                response = connection.getresponse()
+                envelope = json.loads(response.read())
+                elapsed.append(time.perf_counter() - start)
+                assert response.status == 200 and envelope["ok"]
+        finally:
+            connection.close()
+        warm = elapsed[1:]  # the first request computes and caches
+        assert envelope["result"]["cached"] is True
+        assert statistics.median(warm) < 0.02, warm
 
 
 class TestBackpressure:

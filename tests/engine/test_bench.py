@@ -8,7 +8,6 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.bench import (
-    RATIO_TOLERANCES,
     SCENARIOS,
     SERVE_LOOPS,
     baseline_gaps,
@@ -123,34 +122,16 @@ class TestRegressionGate:
         path.write_text(json.dumps(snapshot))
         assert baseline_gaps(snapshot, path) == []
 
-    def test_serve_scaleout_uses_its_wider_tolerance(self, tmp_path):
-        """A host-dependent ratio is gated with its per-ratio band, not
-        the CLI's default, so a smaller runner cannot spuriously fail."""
-        assert RATIO_TOLERANCES["serve_scaleout"] == 0.5
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"ratios": {"serve_scaleout": 6.0}}))
-        # 45% down: over --max-regression 0.25 but inside the 50% band.
-        ok = {"ratios": {"serve_scaleout": 3.3}}
-        assert check_regression(ok, path, max_regression=0.25) == []
-        # A collapsed ratio (the dispatcher or shared cache broke) fails.
-        bad = {"ratios": {"serve_scaleout": 1.1}}
-        failures = check_regression(bad, path, max_regression=0.25)
-        assert failures and "serve_scaleout" in failures[0]
-        assert "50%" in failures[0]
-
-    def test_cli_flag_cannot_tighten_past_per_ratio_band(self, tmp_path):
+    def test_every_ratio_gates_at_the_cli_tolerance(self, tmp_path):
         path = tmp_path / "baseline.json"
         path.write_text(
-            json.dumps(
-                {"ratios": {"serve_scaleout": 6.0, "batch_speedup": 3.0}}
-            )
+            json.dumps({"ratios": {"kernel_speedup": 2.0, "batch_speedup": 3.0}})
         )
-        snap = {"ratios": {"serve_scaleout": 3.3, "batch_speedup": 2.7}}
-        # Strict CLI tolerance: batch_speedup still gates at 5%, while
-        # serve_scaleout keeps its own 50% band.
+        snap = {"ratios": {"kernel_speedup": 1.95, "batch_speedup": 2.7}}
         failures = check_regression(snap, path, max_regression=0.05)
         assert len(failures) == 1
         assert "batch_speedup" in failures[0]
+        assert "5%" in failures[0]
 
 
 class TestCli:
