@@ -14,7 +14,8 @@ states.  Each node computes its schedule-stage artifacts exactly once, as
 flat arrays shared by every walk that passes through it:
 
 * the MII and the IMS schedule search (:mod:`repro.kernel.modulo`), without
-  materializing ``Schedule``/``Placement`` dataclasses;
+  materializing ``Schedule``/``Placement`` dataclasses; a spill child's MII
+  search starts from its parent's RecMII (:func:`array_mii`);
 * lifetime bounds and the difference-array live profile
   (:mod:`repro.kernel.lifetimes`), reused in bulk as the MaxLive lower
   bounds of all three finite models;
@@ -31,8 +32,9 @@ rotating allocation; the per-cluster/global peaks bound the dual models).
 
 Every number produced here is pinned bit-identical to the per-point kernels
 and the dict reference by the differential suite
-(``tests/properties/test_batch_differential.py``, ``tests/engine/test_batch.py``);
-the chain is the same state machine, traversed once instead of per point.
+(``tests/properties/test_kernel_differential.py::TestBatchDifferential``,
+``tests/engine/test_batch.py``); the chain is the same state machine,
+traversed once instead of per point.
 
 Grid walks return summary numbers only.  The static proof needs the real
 artifacts, so :meth:`LoopChain.materialize` additionally lifts the node a
@@ -121,8 +123,25 @@ def _positive_cycle(n: int, edges: list, ii: int) -> bool:
     return True
 
 
-def array_mii(la: LoopArrays) -> int:
-    """``max(ResMII, RecMII)`` of lowered arrays; equals ``minimum_ii``."""
+def array_mii(la: LoopArrays, rec_floor: int = 1) -> tuple[int, int]:
+    """``(MII, RecMII floor)`` of lowered arrays; the MII equals ``minimum_ii``.
+
+    ``rec_floor`` must be a lower bound on the arrays' RecMII: ``1`` for a
+    chain root, the parent's returned floor for a spill child.  That is
+    sound because neither bound ever falls along a spill chain.  A spill
+    only appends ops (ResMII cannot drop) and replaces each use ``v -> c``
+    of the victim, at distance ``d``, by the path ``v -> store -> load -> c``
+    of delay ``lat_v + 1 + lat_load >= lat_v`` and the same total distance
+    ``d``; every other edge is kept.  So each parent cycle maps to a child
+    cycle of no less delay and equal distance, and an II with a positive
+    cycle in the parent has one in the child.
+
+    Feasibility is tested first at ``max(ResMII, rec_floor)``.  Without a
+    positive cycle there, the MII is that II: it is either ResMII, or the
+    floor, which RecMII then cannot exceed.  Otherwise the search gallops
+    upward from it and bisects the last gap, returning the exact RecMII as
+    the new floor.
+    """
     counts = la.ma.counts
     uses = [0] * la.ma.n_pools
     for p in la.pool:
@@ -136,17 +155,25 @@ def array_mii(la: LoopArrays) -> int:
 
     edges = list(zip(la.e_src, la.e_dst, la.e_delay, la.e_dist))
     if not any(dist > 0 for *_, dist in edges):
-        return res  # acyclic: RecMII = 1 <= ResMII
-    lo, hi = 1, max(1, sum(la.e_delay))
+        return res, 1  # acyclic: RecMII = 1 <= ResMII
+    ii = res if res > rec_floor else rec_floor
+    if not _positive_cycle(la.n, edges, ii):
+        return ii, rec_floor
+    # RecMII > ii: gallop to a feasible II, then bisect (lo, hi].
+    lo = ii + 1
+    step = 1
+    hi = ii + step
     while _positive_cycle(la.n, edges, hi):
-        hi *= 2
+        lo = hi + 1
+        step *= 2
+        hi = ii + step
     while lo < hi:
         mid = (lo + hi) // 2
         if _positive_cycle(la.n, edges, mid):
             lo = mid + 1
         else:
             hi = mid
-    return res if res > lo else lo
+    return lo, lo
 
 
 _UNSET = object()
@@ -236,6 +263,19 @@ def _spill_arrays(
         in_edges[dst].append((src, delay, d))
         out_edges[src].append((dst, delay, d))
 
+    # Extend the parent's sinks-first order instead of re-sorting: the
+    # store, and every load feeding its consumer at distance 0 (which
+    # already precedes the victim), go right before the victim; the other
+    # loads have no distance-0 predecessor and go last.
+    relax_order: list[int] | None = None
+    if la.relax_order is not None:
+        at = la.relax_order.index(v)
+        near = [n_old + 1 + j for j in range(n_loads) if load_dist[j] == 0]
+        far = [n_old + 1 + j for j in range(n_loads) if load_dist[j] != 0]
+        relax_order = (
+            la.relax_order[:at] + near + [store] + la.relax_order[at:] + far
+        )
+
     child = LoopArrays(
         ma=la.ma,
         n=n,
@@ -252,6 +292,7 @@ def _spill_arrays(
         e_dist=e_dist,
         in_edges=in_edges,
         out_edges=out_edges,
+        relax_order=relax_order,
     )
     return child, new_extra, n_loads
 
@@ -279,6 +320,7 @@ class _Node:
         "_la",
         "_extra",
         "_mii",
+        "_rec_floor",
         "_sched",
         "_bounds",
         "_maxlive",
@@ -304,6 +346,7 @@ class _Node:
         is_spill_store: list[bool],
         la: LoopArrays | None = None,
         mii: int | None = None,
+        rec_floor: int = 1,
         extra: list[tuple[int, int, int, int]] | None = None,
         origin: "tuple[_Node, int | None] | None" = None,
     ) -> None:
@@ -320,6 +363,9 @@ class _Node:
         self._la = la
         self._extra = extra
         self._mii = mii
+        #: A lower bound on this state's RecMII (exact once the MII search
+        #: had to look past it); spill children inherit it.
+        self._rec_floor = rec_floor
         self._sched: tuple[list[int], list[int], int] | None = None
         self._bounds: tuple[list[int], list[int]] | None = None
         self._maxlive: int | None = None
@@ -367,7 +413,7 @@ class _Node:
     @property
     def mii(self) -> int:
         if self._mii is None:
-            self._mii = array_mii(self.la)
+            self._mii, self._rec_floor = array_mii(self.la, self._rec_floor)
         return self._mii
 
     @property
@@ -662,6 +708,7 @@ class _Node:
                 self.is_spill + [True] * added,
                 self.is_spill_store + [True] + [False] * n_loads,
                 la=child_la,
+                rec_floor=self._rec_floor,
                 extra=child_extra,
                 origin=(self, victim_op),
             )
@@ -679,6 +726,7 @@ class _Node:
                 self.is_spill_store,
                 la=self._la,
                 mii=self._mii,
+                rec_floor=self._rec_floor,
                 extra=self._extra,
                 origin=(self, None),
             )

@@ -16,7 +16,7 @@ instead of serving stale arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 from repro.ir.ddg import DependenceGraph
@@ -57,6 +57,13 @@ class LoopArrays:
     #: Per op index: incoming/outgoing ``(other, delay, distance)`` triples.
     in_edges: list[list[tuple[int, int, int]]]
     out_edges: list[list[tuple[int, int, int]]]
+    #: Op indices sinks-first (a reverse topological order of the
+    #: distance-0 subgraph): the order :func:`repro.kernel.modulo.heights`
+    #: relaxes out-edges in.  Derived on first use and kept for every II
+    #: tried on these arrays; a spill child extends its parent's.
+    relax_order: list[int] | None = field(
+        default=None, repr=False, compare=False
+    )
 
 
 def _build(graph: DependenceGraph, machine: MachineConfig) -> LoopArrays:

@@ -17,18 +17,51 @@ from __future__ import annotations
 from repro.kernel.loop import LoopArrays
 
 
+def _sinks_first(la: LoopArrays) -> list[int]:
+    """Op indices in a reverse topological order of the distance-0 subgraph.
+
+    That subgraph is acyclic (validation rejects zero-distance cycles); any
+    op left on a cycle anyway is appended in index order, which costs
+    :func:`heights` passes but never changes its result.
+    """
+    n = la.n
+    pending = [0] * n
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for src, dst, dist in zip(la.e_src, la.e_dst, la.e_dist):
+        if dist == 0:
+            pending[src] += 1
+            preds[dst].append(src)
+    order = [i for i in range(n) if not pending[i]]
+    for v in order:  # grows while iterating: a Kahn queue
+        for p in preds[v]:
+            pending[p] -= 1
+            if not pending[p]:
+                order.append(p)
+    if len(order) < n:
+        placed = set(order)
+        order.extend(i for i in range(n) if i not in placed)
+    return order
+
+
 def heights(la: LoopArrays, ii: int) -> list[int]:
     """Height-based IMS priority per op index at a candidate II.
 
     Same fixpoint as :func:`repro.sched.priority.heights`:
     ``H(v) = max(0, max over v->w of H(w) + delay - II * distance)``.
+    Relaxation order never changes a Bellman-Ford fixpoint, only how many
+    passes reach it.  Out-edges are relaxed sinks-first
+    (``la.relax_order``), so one pass settles every acyclic chain and only
+    loop-carried edges cost further passes.
     """
     h = [0] * la.n
+    order = la.relax_order
+    if order is None:
+        order = la.relax_order = _sinks_first(la)
+    out_edges = la.out_edges
     weights = [
         (src, dst, delay - ii * dist)
-        for src, dst, delay, dist in zip(
-            la.e_src, la.e_dst, la.e_delay, la.e_dist
-        )
+        for src in order
+        for dst, delay, dist in out_edges[src]
     ]
     for _ in range(la.n + 1):
         changed = False

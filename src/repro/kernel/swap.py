@@ -21,8 +21,21 @@ Candidates are ranked exactly like the legacy ``consider`` hook: strictly
 improving values only, minimized by ``(estimate, action tuple)`` where
 action tuples are ``("move", op_id, instance) < ("swap", a_id, b_id)`` --
 order-independent, so incremental enumeration cannot change the outcome.
+
+Under MAXLIVE most candidates are not even estimated.  An action lowers the
+worst subfile's MaxLive only if, in every cluster whose profile peaks at the
+current estimate, each peak cycle loses a live value -- and the only values
+a departing op can remove from its cluster's subfile are the ones it alone
+consumes there (plus its own value when nothing consumes it).  Arrivals only
+add.  Each step first marks the ops whose removable values cover their
+cluster's peak cycles; a swap or move whose ops cannot reach every peak
+cluster that way is skipped, since ``consider`` would reject its estimate
+anyway, so traces are unchanged.  The dict reference search
+(:func:`repro.core.swapping._greedy_swap_dicts`) stays unpruned and is the
+oracle for this rule.
+
 The FIRSTFIT ablation estimator re-allocates per candidate (it is exact by
-definition), but on the bitmask allocator of :mod:`repro.kernel.dual`.
+definition), unpruned, on the bitmask allocator of :mod:`repro.kernel.dual`.
 """
 
 from __future__ import annotations
@@ -68,6 +81,16 @@ class _MaxLiveState:
             for c, _dist in la.cons[v]:
                 row[asg[c]] += 1
         self.mem = membership_masks(la, asg)
+        #: Per value slot: the kernel cycles its lifetime is live in.
+        full = (1 << ii) - 1
+        self.live_mask: list[int] = []
+        for start, end in zip(starts, ends):
+            length = end - start
+            if length >= ii:
+                self.live_mask.append(full)
+            else:
+                mask = ((1 << length) - 1) << (start % ii)
+                self.live_mask.append((mask | mask >> ii) & full)
         self.prof = [[0] * ii for _ in range(self.n_clusters)]
         for k, mask in enumerate(self.mem):
             for c in range(self.n_clusters):
@@ -129,6 +152,49 @@ class _MaxLiveState:
                         self._span(slot2, c, 1)
                 self.mem[slot2] = new_mask
 
+    def improvers(self, current: int) -> tuple[int, list[bool]]:
+        """Which ops can help an action beat ``current``.
+
+        Returns ``(n_peak, useful)``: ``n_peak`` clusters have a profile
+        peak of ``current``, and ``useful[op]`` says ``op``'s cluster is one
+        of them and the values ``op`` alone keeps in that subfile are live
+        in every one of its peak cycles.  An action can only be strictly
+        improving if it moves one useful op out of each peak cluster.
+        """
+        peak_cycles = [0] * self.n_clusters
+        n_peak = 0
+        for c, profile in enumerate(self.prof):
+            if max(profile) == current:
+                n_peak += 1
+                mask = 0
+                for x, live in enumerate(profile):
+                    if live == current:
+                        mask |= 1 << x
+                peak_cycles[c] = mask
+        n = self.la.n
+        useful = [False] * n
+        if n_peak > 2:
+            return n_peak, useful  # no action leaves more than 2 clusters
+        asg = self.asg
+        cnt = self.cnt
+        live_mask = self.live_mask
+        for op in range(n):
+            c = asg[op]
+            need = peak_cycles[c]
+            if not need:
+                continue
+            slot = self.slot_of[op]
+            cover = (
+                live_mask[slot]
+                if slot >= 0 and self.total_cons[slot] == 0
+                else 0
+            )
+            for slot2, uses in self.consumed[op]:
+                if cnt[slot2][c] == uses:
+                    cover |= live_mask[slot2]
+            useful[op] = not (need & ~cover)
+        return n_peak, useful
+
     def estimate(self) -> int:
         """Worst per-cluster MaxLive (0 when a profile is empty)."""
         worst = 0
@@ -180,10 +246,18 @@ def greedy_swap_search(
     swaps: list[tuple[int, int]] = []
     moves: list[tuple[int, int]] = []
 
+    # Rows and pools never change during the search: only instances and
+    # clusters are exchanged.
+    by_slot: dict[tuple[int, int], list[int]] = {}
+    for i in range(la.n):
+        by_slot.setdefault((rows[i], pool[i]), []).append(i)
+    slots = list(by_slot.values())
+
     for _ in range(max_steps):
-        by_slot: dict[tuple[int, int], list[int]] = {}
-        for i in range(la.n):
-            by_slot.setdefault((rows[i], pool[i]), []).append(i)
+        n_peak = 0
+        useful: list[bool] | None = None
+        if state is not None:
+            n_peak, useful = state.improvers(current)
 
         best_action: tuple | None = None
         best_pair: tuple[int, int] | None = None
@@ -202,12 +276,15 @@ def greedy_swap_search(
                 best_pair = (a, b)
                 best_value = value
 
-        for ops in by_slot.values():
+        for ops in slots:
             for i, a in enumerate(ops):
                 ca = asg[a]
                 for b in ops[i + 1 :]:
                     cb = asg[b]
                     if ca == cb:
+                        continue
+                    # Each peak cluster must lose a useful op.
+                    if useful is not None and useful[a] + useful[b] != n_peak:
                         continue
                     set_cluster(a, cb)
                     set_cluster(b, ca)
@@ -221,6 +298,9 @@ def greedy_swap_search(
             for i in range(la.n):
                 occupied.setdefault((rows[i], pool[i]), set()).add(insts[i])
             for i in range(la.n):
+                # A move leaves one cluster, so it must be the only peak.
+                if useful is not None and not (n_peak == 1 and useful[i]):
+                    continue
                 p = pool[i]
                 taken = occupied[(rows[i], p)]
                 current_cluster = ma.cluster_of[p][insts[i]]

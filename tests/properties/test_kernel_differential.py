@@ -49,6 +49,19 @@ def _both(fn):
     return legacy, arrays
 
 
+def _swap_trace(schedule, **kwargs):
+    """Everything a greedy swap search decides, in comparable form."""
+    result = greedy_swap(schedule, **kwargs)
+    return (
+        result.swaps,
+        result.moves,
+        result.estimate_before,
+        result.estimate_after,
+        result.assignment,
+        result.schedule.placements,
+    )
+
+
 class TestSyntheticLoops:
     @pytest.mark.parametrize("index", SEEDS)
     def test_schedule_and_lifetimes_identical(self, index, paper_l6):
@@ -80,24 +93,23 @@ class TestSyntheticLoops:
     def test_swap_traces_identical(self, index, paper_l6):
         loop = generate_loop(index)
         schedule = modulo_schedule(loop.graph, paper_l6)
-
-        def swap(**kwargs):
-            result = greedy_swap(schedule, **kwargs)
-            return (
-                result.swaps,
-                result.moves,
-                result.estimate_before,
-                result.estimate_after,
-                result.assignment,
-                result.schedule.placements,
-            )
-
         for kwargs in (
             {},
             {"allow_moves": True},
             {"estimator": SwapEstimator.FIRSTFIT},
         ):
-            legacy, arrays = _both(lambda: swap(**kwargs))
+            legacy, arrays = _both(lambda: _swap_trace(schedule, **kwargs))
+            assert legacy == arrays, kwargs
+
+    @pytest.mark.parametrize("index", range(12))
+    def test_swap_traces_identical_on_four_clusters(self, index):
+        """Four subfiles: peaks shared by two clusters, moves across
+        clusters that never meet in a swap."""
+        schedule = modulo_schedule(
+            generate_loop(index).graph, clustered_config(4)
+        )
+        for kwargs in ({}, {"allow_moves": True}):
+            legacy, arrays = _both(lambda: _swap_trace(schedule, **kwargs))
             assert legacy == arrays, kwargs
 
     @pytest.mark.parametrize("index", range(12))
@@ -174,6 +186,25 @@ class TestRandomGraphs:
 
         l0, l1 = _both(analyze)
         assert l0 == l1
+
+
+class TestSwapSearchUnderPressure:
+    """The kernel search prunes MAXLIVE candidates that cannot lower a
+    peak; the unpruned dict search is the oracle that the prune only ever
+    skips candidates ``consider`` would reject."""
+
+    @given(
+        high_pressure_graphs(),
+        st.sampled_from(
+            (paper_config(3), paper_config(6), clustered_config(4))
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_swap_traces_identical(self, graph, machine):
+        schedule = modulo_schedule(graph, machine)
+        for kwargs in ({}, {"allow_moves": True}):
+            legacy, arrays = _both(lambda: _swap_trace(schedule, **kwargs))
+            assert legacy == arrays, kwargs
 
 
 def _evaluators(jobs):
