@@ -184,14 +184,18 @@ class Session:
     # Request handlers
     # ------------------------------------------------------------------
     def schedule(self, request: ScheduleRequest) -> ScheduleResponse:
-        """Modulo-schedule the named loop; no engine, always computed."""
+        """Modulo-schedule the named loop; no engine, always computed.
+
+        The schedule is the root state of the loop's chain, the one every
+        evaluate and pressure request starts from.
+        """
+        from repro.kernel.batch import LoopChain
         from repro.sched.mii import minimum_ii
-        from repro.sched.modulo import schedule_loop
 
         loop = request.loop.resolve()
         machine = self._machine(request.machine)
         mii = minimum_ii(loop.graph, machine)
-        schedule = schedule_loop(loop, machine)
+        schedule = LoopChain(loop.graph, machine).root.schedule
         with self._lock:
             self.requests_served += 1
         return ScheduleResponse(

@@ -501,7 +501,8 @@ class ExperimentRequest(WireMessage):
 
 #: Evaluator tiers a ValidateRequest may name (mirrors
 #: repro.validate.TIERS; literal here so the wire module stays
-#: import-light): ``"batch"`` is production, ``"0"`` the dict oracle.
+#: import-light): ``"batch"`` is the production chain, ``"0"`` the dict
+#: reference pipeline.
 VALIDATE_TIERS = ("batch", "0")
 
 
@@ -702,7 +703,7 @@ class ExperimentResponse(WireMessage):
 
 @dataclass(frozen=True)
 class ValidateResponse(WireMessage):
-    """Verdict of one differential validation across kernel tiers."""
+    """Verdict of one differential validation across evaluator tiers."""
 
     KIND: ClassVar[str] = "validate.response"
     _CONVERTERS = {"tiers": _strs}

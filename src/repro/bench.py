@@ -7,21 +7,21 @@ hardware-independent ratio the CI regression gate checks.
 
 Scenarios:
 
-* ``cold_kernel``  -- the full spill-evaluation grid on a fresh artifact
-  store with the per-point array kernels (one pipeline run per point);
-* ``cold_batch``   -- the same cold grid through the engine's grid-batched
-  path (production): jobs grouped per loop, each group walking one shared
-  :class:`repro.kernel.batch.LoopChain`;
-* ``cold_legacy``  -- the same grid on the dict-based reference
-  implementations (``use_kernels(False)``);
-* ``warm``         -- the grid repeated against a primed store (pure
-  memoization path, no scheduler runs);
+* ``cold_batch``   -- the full spill-evaluation grid through the engine
+  (production): jobs grouped per loop, each group walking one shared
+  :class:`repro.kernel.batch.LoopChain`, no result cache;
+* ``cold_legacy``  -- the same grid on the dict reference: the pass
+  pipeline (:func:`repro.pipeline.pipelines.run_evaluation`) per point,
+  on a fresh artifact store;
+* ``warm``         -- ``cold_batch``'s jobs again, against an engine
+  :class:`~repro.engine.cache.ResultCache` the cold pass primed (every
+  point a cache hit, no chain walks);
 * ``dispatch``     -- the same points as engine jobs through
   :func:`repro.engine.pool.run_jobs` (chunked IPC dispatch when
   ``--workers`` > 1, the serial engine otherwise);
-* ``simulate``     -- every grid point's final schedule/allocation
-  executed through the cycle-level simulator (the differential gate's
-  hot path).
+* ``simulate``     -- every grid point's final schedule/allocation, as
+  :meth:`~repro.kernel.batch.LoopChain.materialize` lifts it, executed
+  through the cycle-level simulator (the differential gate's hot path).
   Informational only: it has no baseline ratio and is never gated.
 * ``serve_single`` -- the mixed serve workload (the bench grid at a
   fixed ``SERVE_LOOPS`` suite size, twice, shuffled) through one
@@ -37,8 +37,8 @@ Scenarios:
 
 The regression gate (``--baseline`` / ``--max-regression``) compares the
 hardware-independent ratios -- ``kernel_speedup`` (``cold_legacy /
-cold_kernel``) and ``batch_speedup`` (``cold_kernel / cold_batch``) --
-not wall seconds: wall time varies with the host, while the speedup of
+cold_batch``) and ``warm_speedup`` (``cold_batch / warm``) -- not wall
+seconds: wall time varies with the host, while the speedup of
 the same grid on the same interpreter is a property of the code.  Ratios
 the baseline file predates are reported as notes, never spurious
 failures.  See ``docs/performance.md``.
@@ -54,13 +54,15 @@ import time
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from repro import kernel
 from repro.analysis.reporting import format_table
 from repro.core.models import Model
+from repro.core.swapping import SwapEstimator
 from repro.ir.loop import Loop
 from repro.machine.config import MachineConfig
+from repro.engine.cache import ResultCache
 from repro.engine.jobs import evaluate_job
 from repro.engine.pool import run_jobs
+from repro.kernel.batch import LoopChain
 from repro.machine.config import paper_config
 from repro.pipeline import ArtifactStore
 from repro.pipeline.pipelines import run_evaluation
@@ -76,7 +78,6 @@ MODELS = (Model.UNIFIED, Model.PARTITIONED, Model.SWAPPED)
 
 #: Scenario registry order is the report order.
 SCENARIOS = (
-    "cold_kernel",
     "cold_batch",
     "cold_legacy",
     "warm",
@@ -153,67 +154,63 @@ def run_bench(
 
     def record(name: str, seconds: float, points: int) -> None:
         results[name] = {
-            "seconds": round(seconds, 4),
+            "seconds": round(seconds, 6),
             "points": points,
             "points_per_sec": round(points / seconds, 1) if seconds else 0.0,
         }
 
-    if "cold_kernel" in scenarios:
-        seconds, points = _timed(
-            lambda: _run_grid(loops, machine, ArtifactStore(8192)), repeats
-        )
-        record("cold_kernel", seconds, points)
+    jobs = [
+        evaluate_job(loop, mach, model, budget)
+        for loop, mach, model, budget in bench_grid(loops, machine)
+    ]
     if "cold_batch" in scenarios:
-        jobs = [
-            evaluate_job(loop, mach, model, budget)
-            for loop, mach, model, budget in bench_grid(loops, machine)
-        ]
         seconds, points = _timed(
             lambda: len(run_jobs(jobs, workers=0, cache=None)), repeats
         )
         record("cold_batch", seconds, points)
     if "cold_legacy" in scenarios:
-        with kernel.use_kernels(False):
-            seconds, points = _timed(
-                lambda: _run_grid(loops, machine, ArtifactStore(8192)),
-                repeats,
-            )
+        seconds, points = _timed(
+            lambda: _run_grid(loops, machine, ArtifactStore(8192)), repeats
+        )
         record("cold_legacy", seconds, points)
     if "warm" in scenarios:
-        store = ArtifactStore(8192)
-        _run_grid(loops, machine, store)  # prime
+        cache = ResultCache(directory=None)
+        run_jobs(jobs, workers=0, cache=cache)  # prime
         seconds, points = _timed(
-            lambda: _run_grid(loops, machine, store), repeats
+            lambda: len(run_jobs(jobs, workers=0, cache=cache)), repeats
         )
         record("warm", seconds, points)
     if "simulate" in scenarios:
         # The differential gate's hot path: execute every grid point's
-        # final schedule/allocation cycle-by-cycle.  The store is primed
-        # outside the timed region so the measurement is the simulator,
-        # not the (already covered) analytic pipeline.  Imported lazily:
-        # repro.validate must stay off the bench module's import graph.
+        # final schedule/allocation cycle-by-cycle.  The chains are walked
+        # and materialized outside the timed region, so the measurement is
+        # the simulator, not the (already covered) evaluator.  Imported
+        # lazily: repro.validate must stay off the bench module's import
+        # graph.
         from repro.sim.executor import execute_kernel
         from repro.validate.differential import allocation_for
 
-        store = ArtifactStore(8192)
-        _run_grid(loops, machine, store)  # prime
+        evaluations = []
+        for loop in loops:
+            chain = LoopChain(loop.graph, machine)
+            for _loop, _mach, model, budget in bench_grid([loop], machine):
+                evaluations.append(
+                    chain.materialize(
+                        loop, model, budget, SwapEstimator.MAXLIVE
+                    )[1]
+                )
 
         def _simulate() -> int:
-            points = 0
-            for loop, mach, model, budget in bench_grid(loops, machine):
-                evaluation = run_evaluation(
-                    loop, mach, model, budget, store=store
-                )
+            for evaluation in evaluations:
                 schedule, allocation = allocation_for(evaluation)
                 execute_kernel(schedule, allocation, iterations=8)
-                points += 1
-            return points
+            return len(evaluations)
 
         seconds, points = _timed(_simulate, repeats)
         record("simulate", seconds, points)
     if "check" in scenarios:
         # The static gate's hot path: prove every suite point's schedule
-        # and allocation analytically, cold (fresh store per repeat) --
+        # and allocation analytically, cold (fresh chains per repeat) --
         # this is the cost of running the prover on 100% of the grid,
         # the number that justifies static-always where sim samples.
         # Imported lazily: repro.check rides the validate layering.
@@ -230,16 +227,12 @@ def run_bench(
         seconds, points = _timed(_check, repeats)
         record("check", seconds, points)
     if "dispatch" in scenarios:
-        jobs = [
-            evaluate_job(loop, mach, model, budget)
-            for loop, mach, model, budget in bench_grid(loops, machine)
-        ]
         seconds, points = _timed(
             lambda: len(run_jobs(jobs, workers=workers, cache=None)),
             repeats,
         )
         results["dispatch"] = {
-            "seconds": round(seconds, 4),
+            "seconds": round(seconds, 6),
             "points": points,
             "points_per_sec": round(points / seconds, 1) if seconds else 0.0,
             "workers": workers,
@@ -311,23 +304,17 @@ def run_bench(
         "scenarios": results,
         "ratios": {},
     }
-    if "cold_kernel" in results and "cold_legacy" in results:
-        cold = results["cold_kernel"]["seconds"]
-        snapshot["ratios"]["kernel_speedup"] = (
-            round(results["cold_legacy"]["seconds"] / cold, 2) if cold else 0.0
-        )
-    if "cold_kernel" in results and "cold_batch" in results:
-        batch = results["cold_batch"]["seconds"]
-        snapshot["ratios"]["batch_speedup"] = (
-            round(results["cold_kernel"]["seconds"] / batch, 2)
-            if batch
-            else 0.0
-        )
-    if "cold_kernel" in results and "warm" in results:
-        warm = results["warm"]["seconds"]
-        snapshot["ratios"]["warm_speedup"] = (
-            round(results["cold_kernel"]["seconds"] / warm, 2) if warm else 0.0
-        )
+    for ratio, numerator, denominator in (
+        ("kernel_speedup", "cold_legacy", "cold_batch"),
+        ("warm_speedup", "cold_batch", "warm"),
+    ):
+        if numerator in results and denominator in results:
+            below = results[denominator]["seconds"]
+            snapshot["ratios"][ratio] = (
+                round(results[numerator]["seconds"] / below, 2)
+                if below
+                else 0.0
+            )
     return snapshot
 
 

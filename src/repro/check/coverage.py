@@ -15,9 +15,9 @@ of the loop's models, and each walk's exit node is materialized
 (:meth:`~repro.kernel.batch.LoopChain.materialize`) into the schedule and
 allocation the proof reads.  :func:`chain_claims` additionally holds the
 chain's served summary numbers to those artifacts.  Knobs without an array
-implementation, and the dict oracle (``use_kernels(False)``), fall back to
-the per-point :func:`~repro.pipeline.pipelines.run_evaluation` under the
-engine's own routing rule (:func:`repro.kernel.batch.chain_enabled`).
+implementation fall back to the per-point
+:func:`~repro.pipeline.pipelines.run_evaluation` under the engine's own
+routing rule (:func:`repro.kernel.batch.supports`).
 
 Layering: ``check`` sits below ``validate`` (validate imports check and
 folds findings into its reports), so the model grid and suite defaults
@@ -34,7 +34,7 @@ from repro.check.invariants import Finding, StaticCheck, check_evaluation
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.ir.loop import Loop
-from repro.kernel.batch import BatchEvaluation, LoopChain, chain_enabled
+from repro.kernel.batch import BatchEvaluation, LoopChain, supports
 from repro.machine.config import MachineConfig, paper_config
 from repro.pipeline.pipelines import run_evaluation
 from repro.spill.spiller import LoopEvaluation
@@ -161,7 +161,7 @@ def point_chain(
     ii_escalation: str = "increment",
 ) -> LoopChain | None:
     """The chain that evaluates ``loop``'s points, or ``None`` per point."""
-    if not chain_enabled(victim_policy, pressure_strategy):
+    if not supports(victim_policy, pressure_strategy):
         return None
     return LoopChain(
         loop.graph,

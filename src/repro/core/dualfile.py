@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import kernel
 from repro.core.clustering import (
     ClusterAssignment,
     ValueClasses,
     classify_values,
     scheduler_assignment,
 )
-from repro.kernel import dual as kdual
 from repro.regalloc.firstfit import (
     AllocationResult,
     IntervalSet,
@@ -121,10 +119,7 @@ def allocate_dual(
         assignment = scheduler_assignment(schedule)
     if lts is None:
         lts = lifetimes(schedule)
-    if kernel.kernels_enabled():
-        classes, placements = _allocate_arrays(schedule, assignment, lts)
-    else:
-        classes, placements = _allocate_intervals(schedule, assignment, lts)
+    classes, placements = _allocate_intervals(schedule, assignment, lts)
 
     allocation = DualAllocation(
         schedule=schedule,
@@ -143,7 +138,7 @@ def _allocate_intervals(
     assignment: ClusterAssignment,
     lts: dict[int, Lifetime],
 ) -> tuple[ValueClasses, dict[int, PlacedLifetime]]:
-    """The interval-set reference allocation (differential tests)."""
+    """First-fit every value into each subfile holding it, at one shift."""
     classes = classify_values(schedule, assignment)
     n_clusters = schedule.machine.n_clusters
     occupied = {c: IntervalSet() for c in range(n_clusters)}
@@ -172,42 +167,6 @@ def _allocate_intervals(
     return classes, placements
 
 
-def _allocate_arrays(
-    schedule: Schedule,
-    assignment: ClusterAssignment,
-    lts: dict[int, Lifetime],
-) -> tuple[ValueClasses, dict[int, PlacedLifetime]]:
-    """The bitmask kernel allocation; identical shifts and orders."""
-    la = kernel.lower_loop(schedule.graph, schedule.machine)
-    asg = [assignment[op_id] for op_id in la.ids]
-    starts = [lts[la.ids[v]].start for v in la.values]
-    ends = [lts[la.ids[v]].end for v in la.values]
-    masks = kdual.membership_masks(la, asg)
-    shifts = kdual.dual_shifts(la, masks, starts, ends, schedule.ii)
-    n_clusters = schedule.machine.n_clusters
-    value_clusters = {
-        la.ids[v]: frozenset(
-            c for c in range(n_clusters) if masks[k] >> c & 1
-        )
-        for k, v in enumerate(la.values)
-    }
-    classes = ValueClasses(
-        value_clusters=value_clusters, n_clusters=n_clusters
-    )
-    # Materialize in the legacy insertion order (most subfiles, start, id).
-    order = sorted(
-        range(len(masks)),
-        key=lambda k: (-masks[k].bit_count(), starts[k], la.ids[la.values[k]]),
-    )
-    placements = {
-        la.ids[la.values[k]]: PlacedLifetime(
-            lts[la.ids[la.values[k]]], shifts[k], schedule.ii
-        )
-        for k in order
-    }
-    return classes, placements
-
-
 def dual_max_live(
     schedule: Schedule,
     assignment: ClusterAssignment,
@@ -221,15 +180,6 @@ def dual_max_live(
     """
     if lts is None:
         lts = lifetimes(schedule)
-    if kernel.kernels_enabled():
-        la = kernel.lower_loop(schedule.graph, schedule.machine)
-        return kdual.dual_max_live(
-            la,
-            [assignment[op_id] for op_id in la.ids],
-            [lts[la.ids[v]].start for v in la.values],
-            [lts[la.ids[v]].end for v in la.values],
-            schedule.ii,
-        )
     classes = classify_values(schedule, assignment)
     worst = 0
     for cluster in range(schedule.machine.n_clusters):

@@ -6,9 +6,11 @@ registers used, but with no restrictions in the number of registers
 available", Section 5.3).  :func:`pressure_report` produces exactly that
 triple (Unified / Partitioned / Swapped) for one loop on one machine.
 
-The measurement itself runs through the pass pipeline
-(:func:`repro.pipeline.pipelines.run_pressure`): this module only defines
-the report shape and keeps the historical entry point.
+The measurement is the root state of a
+:class:`~repro.kernel.batch.LoopChain` (the production evaluator; the pass
+pipeline's :func:`repro.pipeline.pipelines.run_pressure` is the reference
+it is tested against): this module only defines the report shape and
+keeps the historical entry point.
 """
 
 from __future__ import annotations
@@ -57,11 +59,23 @@ def pressure_report(
     swap_estimator: SwapEstimator = SwapEstimator.MAXLIVE,
 ) -> PressureReport:
     """Schedule ``loop`` once and measure all models' register needs."""
-    # Imported here: the pipeline package imports this module for the
-    # report dataclass, so the dependency must stay one-way at import time.
-    from repro.pipeline.pipelines import run_pressure
+    # Imported here: the chain imports the pipeline package, which imports
+    # this module for the report dataclass, so the dependency must stay
+    # one-way at import time.
+    from repro.kernel.batch import LoopChain
 
-    return run_pressure(loop, machine, swap_estimator=swap_estimator)
+    chain = LoopChain(loop.graph, machine)
+    pressure = chain.pressure(swap_estimator)
+    return PressureReport(
+        loop=loop,
+        machine=machine,
+        schedule=chain.root.schedule,
+        mii=pressure.mii,
+        unified=pressure.unified,
+        partitioned=pressure.partitioned,
+        swapped=pressure.swapped,
+        max_live=pressure.max_live,
+    )
 
 
 __all__ = ["PressureReport", "pressure_report"]

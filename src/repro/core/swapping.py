@@ -30,10 +30,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro import kernel
 from repro.core.clustering import ClusterAssignment, scheduler_assignment
 from repro.core.dualfile import allocate_dual, dual_max_live
-from repro.kernel.swap import greedy_swap_search
 from repro.regalloc.lifetimes import Lifetime, lifetimes
 from repro.sched.schedule import Schedule
 
@@ -131,85 +129,19 @@ def greedy_swap(
     pipeline memoizes it); swapping and moving never change issue times,
     only unit instances, so the lifetimes stay valid throughout.
 
-    Candidates are evaluated through assignment/instance *overlays* on both
-    paths -- no ``Schedule`` (and no placement dict) is ever copied per
-    candidate; the single :meth:`Schedule.with_instances` copy happens once,
-    on acceptance of the final assignment.  With kernels enabled the search
-    runs on :func:`repro.kernel.swap.greedy_swap_search`, which additionally
-    maintains the MAXLIVE estimator incrementally per candidate.
+    Candidates are evaluated through assignment/instance *overlays* -- no
+    ``Schedule`` (and no placement dict) is ever copied per candidate; the
+    single :meth:`Schedule.with_instances` copy happens once, on acceptance
+    of the final assignment.  This is the readable reference search; the
+    production evaluator runs :func:`repro.kernel.swap.greedy_swap_search`
+    on a :class:`~repro.kernel.batch.LoopChain` node, which maintains the
+    MAXLIVE estimator incrementally per candidate.
     """
     if assignment is None:
         assignment = scheduler_assignment(schedule)
     assignment = dict(assignment)
     if lts is None:
         lts = lifetimes(schedule)
-    if kernel.kernels_enabled():
-        return _greedy_swap_arrays(
-            schedule, assignment, estimator, max_steps, allow_moves, lts
-        )
-    return _greedy_swap_dicts(
-        schedule, assignment, estimator, max_steps, allow_moves, lts
-    )
-
-
-def _greedy_swap_arrays(
-    schedule: Schedule,
-    assignment: ClusterAssignment,
-    estimator: SwapEstimator,
-    max_steps: int,
-    allow_moves: bool,
-    lts: dict[int, Lifetime],
-) -> SwapResult:
-    """Kernel-backed search; identical trace and estimates to the legacy."""
-    la = kernel.lower_loop(schedule.graph, schedule.machine)
-    ii = schedule.ii
-    placements = schedule.placements
-    rows = [placements[op_id].time % ii for op_id in la.ids]
-    insts = [placements[op_id].instance for op_id in la.ids]
-    asg = [assignment[op_id] for op_id in la.ids]
-    starts = [lts[la.ids[v]].start for v in la.values]
-    ends = [lts[la.ids[v]].end for v in la.values]
-    swaps, moves, before, after = greedy_swap_search(
-        la,
-        ii,
-        rows,
-        insts,
-        asg,
-        starts,
-        ends,
-        estimator is SwapEstimator.FIRSTFIT,
-        max_steps,
-        allow_moves,
-    )
-    for i, op_id in enumerate(la.ids):
-        assignment[op_id] = asg[i]
-    changed = {
-        op_id: insts[i]
-        for i, op_id in enumerate(la.ids)
-        if insts[i] != placements[op_id].instance
-    }
-    final_schedule = (
-        schedule.with_instances(changed) if changed else schedule
-    )
-    return SwapResult(
-        schedule=final_schedule,
-        assignment=assignment,
-        swaps=tuple(swaps),
-        estimate_before=before,
-        estimate_after=after,
-        moves=tuple(moves),
-    )
-
-
-def _greedy_swap_dicts(
-    schedule: Schedule,
-    assignment: ClusterAssignment,
-    estimator: SwapEstimator,
-    max_steps: int,
-    allow_moves: bool,
-    lts: dict[int, Lifetime],
-) -> SwapResult:
-    """The dict-based reference search (differential tests)."""
     instances = {
         op.op_id: schedule.placement(op.op_id).instance
         for op in schedule.graph.operations

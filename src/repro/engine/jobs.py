@@ -345,12 +345,11 @@ def execute_batch(jobs: Sequence[EvalJob]) -> list[JobResult]:
     profiles) are computed once per chain *state* and shared by every
     (model, budget) walk -- see :mod:`repro.kernel.batch`.  Groups whose
     victim policy has no array implementation (custom registered policies
-    interrogate ``Schedule`` dataclasses) fall back to per-job execution,
-    bit-identical by construction; so does every group while the dict
-    oracle is selected (``kernel.use_kernels(False)``).
+    interrogate ``Schedule`` dataclasses) fall back to per-job execution
+    on the pass pipeline, bit-identical by construction.
     """
     first = jobs[0]
-    if not kbatch.chain_enabled(first.victim_policy, first.pressure_strategy):
+    if not kbatch.supports(first.victim_policy, first.pressure_strategy):
         return [execute_job(job) for job in jobs]
     chain = kbatch.LoopChain(
         first.loop.graph,

@@ -30,20 +30,23 @@ skipped entirely on the interior of a spill walk and only computed where a
 halt decision actually needs it (MaxLive is a lower bound on any legal
 rotating allocation; the per-cluster/global peaks bound the dual models).
 
-Every number produced here is pinned bit-identical to the per-point kernels
-and the dict reference by the differential suite
-(``tests/properties/test_kernel_differential.py::TestBatchDifferential``,
-``tests/engine/test_batch.py``); the chain is the same state machine,
-traversed once instead of per point.
+Every number produced here is pinned bit-identical to the dict reference
+(the pass pipeline over :mod:`repro.sched`, :mod:`repro.regalloc` and
+:mod:`repro.core`) by the differential suite
+(``tests/properties/test_kernel_differential.py``,
+``tests/properties/test_chain_materialize.py``, ``tests/engine/test_batch.py``);
+the chain is the same state machine, traversed once instead of per point.
 
 Grid walks return summary numbers only.  The static proof needs the real
 artifacts, so :meth:`LoopChain.materialize` additionally lifts the node a
 walk exits on to a full :class:`~repro.spill.spiller.LoopEvaluation`: the
 node's graph is replayed lazily with :func:`~repro.spill.spiller.spill_value`
 on the victims along the chain, its array schedule becomes a verified
-:class:`~repro.sched.schedule.Schedule`, and the allocation is the public
-:func:`~repro.core.models.required_registers`.  Grid, serve and ``repro run``
-never pay for it.
+:class:`~repro.sched.schedule.Schedule`, and the allocation is the one the
+node computed its requirement from -- first-fit shifts, subfile
+memberships and, for Swapped, the swap search's trace -- lifted to the
+public dataclasses (:meth:`_Node.lift`), never recomputed.  Grid, serve and
+``repro run`` never pay for the lift.
 
 This module deliberately knows nothing about engine jobs: grouping (by the
 same content fingerprints that key the pipeline ``ArtifactStore``) and the
@@ -53,24 +56,28 @@ result dataclasses live in :mod:`repro.engine.jobs`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from repro.core.models import Model, required_registers
-from repro.core.swapping import SwapEstimator
+from repro.core.clustering import ValueClasses
+from repro.core.dualfile import DualAllocation
+from repro.core.models import Model, Requirement
+from repro.core.swapping import SwapEstimator, SwapResult
 from repro.ir.ddg import DependenceGraph
 from repro.ir.loop import Loop
 from repro.ir.operation import OpType
 from repro.kernel import dual as kdual
-from repro.kernel import kernels_enabled
 from repro.kernel import modulo as kmodulo
 from repro.kernel.firstfit import BitOccupancy, first_fit_shift
 from repro.kernel.lifetimes import lifetime_bounds, live_profile_spans
 from repro.kernel.loop import LoopArrays, lower_loop
 from repro.kernel.swap import greedy_swap_search
 from repro.machine.config import MachineConfig
-from repro.pipeline.policies import get_escalation
-from repro.regalloc.lifetimes import Lifetime, lifetimes
-from repro.sched.modulo import SchedulingFailure, _materialize
-from repro.sched.schedule import Schedule
+from repro.pipeline.policies import get_escalation, get_policy
+from repro.regalloc.allocation import UnifiedAllocation
+from repro.regalloc.firstfit import AllocationResult, PlacedLifetime
+from repro.regalloc.lifetimes import Lifetime
+from repro.sched.modulo import SchedulingFailure
+from repro.sched.schedule import Placement, Schedule
 from repro.spill.spiller import LoopEvaluation, spill_value
 
 #: Victim policies with an array-native implementation below.  Custom
@@ -82,27 +89,18 @@ ARRAY_POLICIES = frozenset(
 
 
 def supports(victim_policy: str, pressure_strategy: str) -> bool:
-    """Whether a job group with these knobs can ride a :class:`LoopChain`.
+    """Whether points with these knobs are evaluated on a :class:`LoopChain`.
 
-    Escalations are not restricted: the strategy object is called directly,
-    so custom registered escalations batch fine.  ``increase_ii`` never
-    selects a victim, so any policy name batches under it.
+    The one routing rule of every caller that can either walk a chain or
+    run the pass pipeline (the engine's job groups, ``evaluate_loop``,
+    ``pressure_report``, the static proof).  Escalations are not
+    restricted: the strategy object is called directly, so custom
+    registered escalations batch fine.  ``increase_ii`` never selects a
+    victim, so any policy name batches under it.
     """
     if pressure_strategy == "increase_ii":
         return True
     return pressure_strategy == "spill" and victim_policy in ARRAY_POLICIES
-
-
-def chain_enabled(victim_policy: str, pressure_strategy: str) -> bool:
-    """Whether points with these knobs are evaluated on a :class:`LoopChain`.
-
-    The one routing rule of every caller that can either walk a chain or
-    run the per-point pipeline (the engine's job groups, the static
-    proof): the array kernels must be selected -- ``use_kernels(False)``
-    routes everything to the dict oracle -- and the knobs must have an
-    array implementation (:func:`supports`).
-    """
-    return kernels_enabled() and supports(victim_policy, pressure_strategy)
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +175,27 @@ def array_mii(la: LoopArrays, rec_floor: int = 1) -> tuple[int, int]:
 
 
 _UNSET = object()
+
+
+#: The swap search's ``(assignment, instances, swaps, moves,
+#: estimate_before, estimate_after)``, assignment and instances per op index.
+_SwapTrace = tuple[
+    list[int], list[int], list[tuple[int, int]], list[tuple[int, int]], int, int
+]
+
+
+class _Exact(NamedTuple):
+    """One node's exact requirement under one model, with its artifacts.
+
+    ``shifts`` is the first-fit shift per value slot; ``masks`` (dual
+    models only) the subfile membership per slot; ``swap`` (Swapped only)
+    the search's trace.
+    """
+
+    registers: int
+    shifts: list[int]
+    masks: list[int] | None = None
+    swap: _SwapTrace | None = None
 
 
 def _spill_arrays(
@@ -373,7 +392,7 @@ class _Node:
         self._victim = _UNSET
         self._spill_child: "_Node | None" = None
         self._esc_child: "_Node | None" = None
-        self._exact: dict = {}
+        self._exact: dict[object, _Exact] = {}
         self._dual_lb: int | None = None
         self._origin = origin
         self._graph: DependenceGraph | None = None
@@ -507,8 +526,14 @@ class _Node:
         """
         if self._schedule is None:
             times, insts, ii = self.sched
-            placements = _materialize(self.la, (times, insts))
-            assert placements is not None
+            la = self.la
+            names = la.ma.names
+            placements = {
+                op_id: Placement(
+                    time=times[i], pool=names[la.pool[i]], instance=insts[i]
+                )
+                for i, op_id in enumerate(la.ids)
+            }
             schedule = Schedule(self.graph, self.chain.machine, ii, placements)
             schedule.verify()
             self._schedule = schedule
@@ -516,10 +541,96 @@ class _Node:
 
     @property
     def lifetimes(self) -> dict[int, Lifetime]:
-        """Lifetimes of :attr:`schedule`, shared by every model's allocation."""
+        """:attr:`bounds` keyed by producer id, shared by every allocation."""
         if self._lifetimes is None:
-            self._lifetimes = lifetimes(self.schedule)
+            ids = self.la.ids
+            starts, ends = self.bounds
+            self._lifetimes = {
+                ids[v]: Lifetime(ids[v], starts[k], ends[k])
+                for k, v in enumerate(self.la.values)
+            }
         return self._lifetimes
+
+    def lift(self, model: Model, estimator: SwapEstimator) -> Requirement:
+        """The exact requirement under ``model`` as the public dataclasses.
+
+        Lifts the artifacts :meth:`requirement` computed, never allocating
+        again, into what :func:`repro.core.models.required_registers`
+        returns for :attr:`schedule`.  The register count is the lifted
+        allocation's own, so a lift that contradicts the walk stays
+        visible to the proof.
+        """
+        exact = self._exact_for(model, estimator)
+        schedule = self.schedule
+        lts = self.lifetimes
+        ii = self.ii
+        ids = self.la.ids
+        values = self.la.values
+        starts = self.bounds[0]
+
+        def placed(
+            key: Callable[[int], tuple[int, ...]],
+        ) -> dict[int, PlacedLifetime]:  # the dict allocator's order
+            return {
+                ids[values[k]]: PlacedLifetime(
+                    lts[ids[values[k]]], exact.shifts[k], ii
+                )
+                for k in sorted(range(len(values)), key=key)
+            }
+
+        masks = exact.masks
+        if masks is None:
+            unified = UnifiedAllocation(
+                schedule=schedule,
+                lifetimes=lts,
+                result=AllocationResult(
+                    ii, placed(lambda k: (starts[k], k))
+                ),
+                max_live=self.maxlive,
+            )
+            return Requirement(
+                model, unified.registers_required, unified=unified
+            )
+        asg = self.asg
+        swap = None
+        if exact.swap is not None:
+            asg, insts, swaps, moves, before, after = exact.swap
+            changed = {
+                op_id: insts[i]
+                for i, op_id in enumerate(ids)
+                if insts[i] != schedule.placements[op_id].instance
+            }
+            if changed:
+                schedule = schedule.with_instances(changed)
+            swap = SwapResult(
+                schedule=schedule,
+                assignment=dict(zip(ids, asg)),
+                swaps=tuple(swaps),
+                estimate_before=before,
+                estimate_after=after,
+                moves=tuple(moves),
+            )
+        n_clusters = self.la.ma.n_clusters
+        dual = DualAllocation(
+            schedule=schedule,
+            assignment=dict(zip(ids, asg)),
+            classes=ValueClasses(
+                value_clusters={
+                    ids[v]: frozenset(
+                        c for c in range(n_clusters) if masks[k] >> c & 1
+                    )
+                    for k, v in enumerate(values)
+                },
+                n_clusters=n_clusters,
+            ),
+            lifetimes=lts,
+            placements=placed(
+                lambda k: (-masks[k].bit_count(), starts[k], k)
+            ),
+        )
+        return Requirement(
+            model, dual.registers_required, dual=dual, swap=swap
+        )
 
     # ------------------------------------------------------------------
     # Requirements: lower bounds gate, exact values memoize per model
@@ -547,50 +658,55 @@ class _Node:
 
     def requirement(self, model: Model, estimator: SwapEstimator) -> int:
         """Exact registers required under ``model`` (memoized per node)."""
+        return self._exact_for(model, estimator).registers
+
+    def _exact_for(self, model: Model, estimator: SwapEstimator) -> _Exact:
         if model is Model.PARTITIONED:
             key = "p"
         elif model is Model.SWAPPED:
             key = ("s", estimator)
         else:  # IDEAL and UNIFIED report the same unified allocation
             key = "u"
-        cached = self._exact.get(key)
-        if cached is None:
+        exact = self._exact.get(key)
+        if exact is None:
             if key == "u":
-                cached = self._unified_registers()
+                exact = self._unified()
             elif key == "p":
-                starts, ends = self.bounds
-                cached = kdual.dual_registers(
-                    self.la, self.asg, starts, ends, self.ii
-                )
+                exact = self._dual(self.asg)
             else:
-                cached = self._swapped_registers(estimator)
-            self._exact[key] = cached
-        return cached
+                exact = self._swapped(estimator)
+            self._exact[key] = exact
+        return exact
 
-    def _unified_registers(self) -> int:
-        """First-fit span of the single file: ``allocate_unified`` exactly."""
+    def _unified(self) -> _Exact:
+        """First-fit of the single file: ``allocate_unified`` exactly."""
         starts, ends = self.bounds
         ii = self.ii
+        shifts = [0] * len(starts)
         if not starts:
-            return 0
+            return _Exact(0, shifts)
         # Same insertion order as regalloc.firstfit.first_fit: increasing
         # start, ties by op id (slot order == id order).
-        order = sorted(range(len(starts)), key=lambda k: (starts[k], k))
         occupied = BitOccupancy()
-        lo = None
-        hi = None
-        for k in order:
+        for k in sorted(range(len(starts)), key=lambda k: (starts[k], k)):
             shift = first_fit_shift(starts[k], ends[k], ii, (occupied,))
-            a = starts[k] + shift * ii
-            b = ends[k] + shift * ii
-            occupied.add(a, b)
-            if lo is None or a < lo:
-                lo = a
-            if hi is None or b > hi:
-                hi = b
-        return -(-(hi - lo) // ii)
+            shifts[k] = shift
+            occupied.add(starts[k] + shift * ii, ends[k] + shift * ii)
+        lo = min(a + f * ii for a, f in zip(starts, shifts))
+        hi = max(b + f * ii for b, f in zip(ends, shifts))
+        return _Exact(-(-(hi - lo) // ii), shifts)
 
-    def _swapped_registers(self, estimator: SwapEstimator) -> int:
+    def _dual(
+        self, asg: list[int], swap: _SwapTrace | None = None
+    ) -> _Exact:
+        """Dual-file first-fit under ``asg``: ``allocate_dual`` exactly."""
+        starts, ends = self.bounds
+        masks, shifts, registers = kdual.dual_allocation(
+            self.la, asg, starts, ends, self.ii
+        )
+        return _Exact(registers, shifts, masks, swap)
+
+    def _swapped(self, estimator: SwapEstimator) -> _Exact:
         """Greedy swap then dual allocation: ``swapped_requirement`` exactly."""
         la = self.la
         times, insts, ii = self.sched
@@ -598,7 +714,7 @@ class _Node:
         rows = [t % ii for t in times]
         insts = list(insts)
         asg = list(self.asg)
-        greedy_swap_search(
+        swaps, moves, before, after = greedy_swap_search(
             la,
             ii,
             rows,
@@ -610,7 +726,7 @@ class _Node:
             1000,
             False,
         )
-        return kdual.dual_registers(la, asg, starts, ends, ii)
+        return self._dual(asg, (asg, insts, swaps, moves, before, after))
 
     # ------------------------------------------------------------------
     # Transitions (model-independent: shared by every walk)
@@ -778,6 +894,7 @@ class LoopChain:
                 f"victim policy {victim_policy!r} has no array "
                 f"implementation; execute such jobs per point"
             )
+        get_policy(victim_policy)  # unknown names fail as in the pipeline
         self.graph = graph
         self.name = graph.name
         self.machine = machine
@@ -846,9 +963,7 @@ class LoopChain:
         summary, node = self._walk(
             model, register_budget, estimator, max_rounds
         )
-        requirement = required_registers(
-            node.schedule, model, estimator, lts=node.lifetimes
-        )
+        requirement = node.lift(model, estimator)
         return summary, LoopEvaluation(
             loop=loop,
             machine=self.machine,
@@ -942,6 +1057,5 @@ __all__ = [
     "BatchPressure",
     "LoopChain",
     "array_mii",
-    "chain_enabled",
     "supports",
 ]

@@ -96,6 +96,25 @@ def registers_per_cluster(
     ]
 
 
+def dual_allocation(
+    la: LoopArrays,
+    asg: list[int],
+    starts: list[int],
+    ends: list[int],
+    ii: int,
+) -> tuple[list[int], list[int], int]:
+    """``(masks, shifts, registers)`` of the dual-file first-fit under ``asg``.
+
+    ``registers`` is the requirement of the most loaded subfile.
+    """
+    masks = membership_masks(la, asg)
+    shifts = dual_shifts(la, masks, starts, ends, ii)
+    per_cluster = registers_per_cluster(
+        masks, starts, ends, shifts, ii, la.ma.n_clusters
+    )
+    return masks, shifts, max(per_cluster) if per_cluster else 0
+
+
 def dual_registers(
     la: LoopArrays,
     asg: list[int],
@@ -108,12 +127,7 @@ def dual_registers(
     The exact (first-fit) dual requirement, used per candidate by the
     swap search's FIRSTFIT ablation estimator.
     """
-    masks = membership_masks(la, asg)
-    shifts = dual_shifts(la, masks, starts, ends, ii)
-    per_cluster = registers_per_cluster(
-        masks, starts, ends, shifts, ii, la.ma.n_clusters
-    )
-    return max(per_cluster) if per_cluster else 0
+    return dual_allocation(la, asg, starts, ends, ii)[2]
 
 
 def dual_max_live(
@@ -139,6 +153,7 @@ def dual_max_live(
 
 
 __all__ = [
+    "dual_allocation",
     "dual_max_live",
     "dual_registers",
     "dual_shifts",

@@ -140,24 +140,38 @@ def lower_loop(graph: DependenceGraph, machine: MachineConfig) -> LoopArrays:
     return lowered
 
 
-def consumer_map(
-    graph: DependenceGraph,
-) -> dict[int, list[tuple[int, int]]]:
+#: ``producer op_id -> [(consumer op_id, distance), ...]``.
+ConsumerMap = dict[int, list[tuple[int, int]]]
+
+
+def consumer_map(graph: DependenceGraph) -> ConsumerMap:
     """``producer op_id -> [(consumer op_id, distance), ...]`` in one pass.
 
     Machine-independent flat form of ``DependenceGraph.consumers`` for every
     value at once: the same pairs in the same order, without the O(ops x
-    operands) rescan per queried value.  Used by the spiller and the spill
-    policies, which interrogate many values of the same graph per round.
+    operands) rescan per queried value.  Used by the spiller, the spill
+    policies, lifetimes and value classification, which interrogate many
+    values of the same graph.  Memoized per graph like :func:`lower_loop`
+    (mutation-aware); callers must not mutate the returned map.
     """
-    result: dict[int, list[tuple[int, int]]] = {
+    version = getattr(graph, "_version", 0)
+    entry = _consumers.get(graph)
+    if entry is not None and entry[0] == version:
+        return entry[1]
+    result: ConsumerMap = {
         op.op_id: [] for op in graph.operations if op.defines_value
     }
     for op in graph.operations:
         for operand in op.operands:
             if isinstance(operand, ValueRef):
                 result[operand.producer].append((op.op_id, operand.distance))
+    _consumers[graph] = (version, result)
     return result
+
+
+_consumers: "WeakKeyDictionary[DependenceGraph, tuple[int, ConsumerMap]]" = (
+    WeakKeyDictionary()
+)
 
 
 __all__ = ["LoopArrays", "consumer_map", "lower_loop"]

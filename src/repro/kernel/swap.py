@@ -31,7 +31,7 @@ add.  Each step first marks the ops whose removable values cover their
 cluster's peak cycles; a swap or move whose ops cannot reach every peak
 cluster that way is skipped, since ``consider`` would reject its estimate
 anyway, so traces are unchanged.  The dict reference search
-(:func:`repro.core.swapping._greedy_swap_dicts`) stays unpruned and is the
+(:func:`repro.core.swapping.greedy_swap`) stays unpruned and is the
 oracle for this rule.
 
 The FIRSTFIT ablation estimator re-allocates per candidate (it is exact by

@@ -30,9 +30,6 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro import kernel
-from repro.kernel.firstfit import BitOccupancy
-from repro.kernel.firstfit import first_fit_shift as _mask_shift
 from repro.regalloc.lifetimes import Lifetime
 
 
@@ -151,8 +148,7 @@ def first_fit(
     """
     if ii < 1:
         raise AllocationError("II must be >= 1")
-    use_masks = kernel.kernels_enabled()
-    occupied = BitOccupancy() if use_masks else IntervalSet()
+    occupied = IntervalSet()
     for placed in fixed:
         if placed.ii != ii:
             raise AllocationError("fixed placements use a different II")
@@ -161,10 +157,7 @@ def first_fit(
     for lt in sorted(lts, key=lambda l: (l.start, l.op_id)):
         if lt.op_id in placements:
             raise AllocationError(f"duplicate lifetime for op {lt.op_id}")
-        if use_masks:
-            shift = _mask_shift(lt.start, lt.end, ii, (occupied,))
-        else:
-            shift = first_fit_shift(lt, ii, (occupied,))
+        shift = first_fit_shift(lt, ii, (occupied,))
         placed = PlacedLifetime(lt, shift, ii)
         occupied.add(placed.start, placed.end)
         placements[lt.op_id] = placed

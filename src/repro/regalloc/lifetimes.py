@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import kernel
-from repro.kernel.lifetimes import lifetime_bounds
 from repro.sched.schedule import Schedule
 
 
@@ -49,32 +47,27 @@ class Lifetime:
 
 
 def lifetimes(schedule: Schedule) -> dict[int, Lifetime]:
-    """Lifetime of every loop variant in a schedule, keyed by producer id."""
-    if kernel.kernels_enabled():
-        arrays = kernel.lower_loop(schedule.graph, schedule.machine)
-        times = [schedule.placements[op_id].time for op_id in arrays.ids]
-        starts, ends = lifetime_bounds(arrays, times, schedule.ii)
-        return {
-            arrays.ids[v]: Lifetime(arrays.ids[v], starts[k], ends[k])
-            for k, v in enumerate(arrays.values)
-        }
-    return _lifetimes_scan(schedule)
+    """Lifetime of every loop variant in a schedule, keyed by producer id.
 
+    Consumers come from one pass over the graph
+    (``repro.kernel.consumer_map``: ``graph.consumers`` for every value at
+    once) instead of a rescan of all operands per value.
+    """
+    from repro.kernel import consumer_map
 
-def _lifetimes_scan(schedule: Schedule) -> dict[int, Lifetime]:
-    """The dict-based reference implementation (differential tests)."""
     graph = schedule.graph
     machine = schedule.machine
     ii = schedule.ii
+    consumers = consumer_map(graph)
     result: dict[int, Lifetime] = {}
     for op in graph.values():
         start = schedule.time_of(op.op_id)
         end = start + machine.latency_of(op)
-        for consumer, distance in graph.consumers(op.op_id):
+        for consumer_id, distance in consumers[op.op_id]:
             finish = (
-                schedule.time_of(consumer.op_id)
+                schedule.time_of(consumer_id)
                 + distance * ii
-                + machine.latency_of(consumer)
+                + machine.latency_of(graph.op(consumer_id))
             )
             end = max(end, finish)
         result[op.op_id] = Lifetime(op.op_id, start, end)

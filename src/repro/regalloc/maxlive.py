@@ -16,33 +16,30 @@ of values that are alive at any cycle of the schedule").
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
-from repro import kernel
-from repro.kernel.lifetimes import live_profile_spans
 from repro.regalloc.lifetimes import Lifetime
 
 
 def live_at(lifetime: Lifetime, cycle: int, ii: int) -> int:
     """Number of simultaneously live instances of one variant at a kernel
     cycle (0 <= cycle < II)."""
-    upper = math.ceil((lifetime.end - cycle) / ii)
-    lower = math.ceil((lifetime.start - cycle) / ii)
-    return max(0, upper - lower)
+    # ceil((end - c) / II) - ceil((start - c) / II), in integer arithmetic.
+    return max(0, (cycle - lifetime.start) // ii - (cycle - lifetime.end) // ii)
 
 
 def live_profile(lts: Iterable[Lifetime], ii: int) -> list[int]:
     """Total live values at each kernel cycle ``0 .. II-1``.
 
-    With kernels enabled the sum is a difference array over the II cycles
-    (O(values + II)); the per-cycle :func:`live_at` scan remains as the
-    reference implementation.
+    Sums :func:`live_at` over the variants at every cycle; the formula is
+    inlined because this scan is the reference swap search's estimator.
+    A lifetime never ends before it starts, so no term is negative.
     """
-    lts = list(lts)
-    if kernel.kernels_enabled():
-        return live_profile_spans(((lt.start, lt.end) for lt in lts), ii)
-    return [sum(live_at(lt, c, ii) for lt in lts) for c in range(ii)]
+    spans = [(lt.start, lt.end) for lt in lts]
+    return [
+        sum((c - start) // ii - (c - end) // ii for start, end in spans)
+        for c in range(ii)
+    ]
 
 
 def max_live(lts: Iterable[Lifetime], ii: int) -> int:

@@ -117,7 +117,7 @@ def generate_report(
     ``sim_samples > 0`` additionally runs the sampled simulator
     cross-check: ``sim_samples`` suite loops -- chosen by one RNG seeded
     with ``sim_seed``, so repeated runs validate the same points -- are
-    executed cycle-by-cycle under every model and kernel tier and checked
+    executed cycle-by-cycle under every model and evaluator tier and checked
     against the analytical claims.  The outcome lands in the provenance
     footer and in :attr:`ReportResult.ok`.
 

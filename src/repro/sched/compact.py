@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.regalloc.lifetimes import lifetimes
-from repro.regalloc.maxlive import max_live
+from repro.kernel.lifetimes import lifetime_bounds, max_live_spans
+from repro.kernel.loop import lower_loop
 from repro.sched.mii import edge_delay
 from repro.sched.schedule import Placement, Schedule
 
@@ -82,9 +82,13 @@ def compact_schedule(
             occ.setdefault((p.time % ii, p.pool), set()).add(p.instance)
         return occ
 
+    # Trial MaxLive on the lowered loop: only issue times change per trial.
+    la = lower_loop(graph, machine)
+    times = [placements[op_id].time for op_id in la.ids]
+
     def estimate() -> int:
-        trial = Schedule(graph, machine, ii, dict(placements))
-        return max_live(lifetimes(trial).values(), ii)
+        starts, ends = lifetime_bounds(la, times, ii)
+        return max_live_spans(zip(starts, ends), ii)
 
     before = estimate()
     current = before
@@ -112,10 +116,10 @@ def compact_schedule(
                 if not free:
                     continue
                 instance = p.instance if p.instance in free else free[0]
-                old = placements[op.op_id]
-                placements[op.op_id] = Placement(time, p.pool, instance)
+                index = la.index[op.op_id]
+                times[index] = time
                 value = estimate()
-                placements[op.op_id] = old
+                times[index] = p.time
                 if value < best_value:
                     best = (op.op_id, time, instance)
                     best_value = value
@@ -126,6 +130,7 @@ def compact_schedule(
         placements[op_id] = replace(
             placements[op_id], time=time, instance=instance
         )
+        times[la.index[op_id]] = time
         moves.append((op_id, old_time, time))
         current = best_value
 

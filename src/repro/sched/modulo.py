@@ -23,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro import kernel
 from repro.ir.ddg import DependenceGraph
 from repro.ir.loop import Loop
-from repro.kernel import modulo as kmodulo
 from repro.machine.config import MachineConfig
 from repro.sched.mii import MiiReport, edge_delay, minimum_ii
 from repro.sched.priority import heights
@@ -78,12 +76,8 @@ def modulo_schedule(
             machine.latency_of(op) for op in graph.operations
         )
         max_ii = max(ii, total_delay + len(graph) + 16)
-    arrays = kernel.lower_loop(graph, machine) if kernel.kernels_enabled() else None
     while ii <= max_ii:
-        if arrays is not None:
-            placements = _materialize(arrays, kmodulo.attempt(arrays, ii, budget_factor))
-        else:
-            placements = _attempt(graph, machine, ii, budget_factor)
+        placements = _attempt(graph, machine, ii, budget_factor)
         if placements is not None:
             schedule = Schedule(graph, machine, ii, placements)
             schedule.verify()
@@ -92,25 +86,6 @@ def modulo_schedule(
     raise SchedulingFailure(
         f"{graph.name}: no schedule up to II={max_ii} (MII={report.mii})"
     )
-
-
-def _materialize(
-    arrays: "kernel.LoopArrays",
-    attempt: tuple[list[int], list[int]] | None,
-) -> dict[int, Placement] | None:
-    """Lift a successful array attempt back to the boundary dataclasses."""
-    if attempt is None:
-        return None
-    times, instances = attempt
-    pool_names = arrays.ma.names
-    return {
-        op_id: Placement(
-            time=times[i],
-            pool=pool_names[arrays.pool[i]],
-            instance=instances[i],
-        )
-        for i, op_id in enumerate(arrays.ids)
-    }
 
 
 def schedule_loop(

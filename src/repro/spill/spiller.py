@@ -19,10 +19,12 @@ connected by memory dependences carrying the original iteration distance.
 This module owns that graph transform (:func:`spill_value`) and the
 :class:`LoopEvaluation` report.  The iterative flow itself -- measure,
 spill, escalate the II when nothing is spillable, give up on plateaus --
-lives in the pass pipeline (:func:`repro.pipeline.pipelines.run_evaluation`)
-with victim selection and escalation pluggable through
-:mod:`repro.pipeline.policies`; :func:`evaluate_loop` is the historical
-entry point over it.
+runs on a :class:`~repro.kernel.batch.LoopChain` (the production
+evaluator), with the pass pipeline
+(:func:`repro.pipeline.pipelines.run_evaluation`, victim selection and
+escalation pluggable through :mod:`repro.pipeline.policies`) as the
+readable reference and the fallback for custom victim policies;
+:func:`evaluate_loop` is the historical entry point over both.
 """
 
 from __future__ import annotations
@@ -214,12 +216,29 @@ def evaluate_loop(
     (``"spill"`` is the paper's choice, ``"increase_ii"`` never spills and
     only reschedules); ``ii_escalation`` names how the II grows when
     rescheduling (:data:`~repro.pipeline.policies.II_ESCALATIONS`).
+
+    The point walks a one-loop :class:`~repro.kernel.batch.LoopChain`
+    whenever :func:`~repro.kernel.batch.supports` holds for the knobs;
+    custom victim policies run the pass pipeline.  Both return the same
+    evaluation.
     """
-    # Imported here: the pipeline package imports this module for the
+    # Imported here: the chain and the pipeline import this module for the
     # report dataclass and the graph transform, so the dependency must
     # stay one-way at import time.
+    from repro.kernel.batch import LoopChain, supports
     from repro.pipeline.pipelines import run_evaluation
 
+    if supports(victim_policy, pressure_strategy):
+        chain = LoopChain(
+            loop.graph,
+            machine,
+            victim_policy=victim_policy,
+            pressure_strategy=pressure_strategy,
+            ii_escalation=ii_escalation,
+        )
+        return chain.materialize(
+            loop, model, register_budget, swap_estimator, max_rounds
+        )[1]
     return run_evaluation(
         loop,
         machine,

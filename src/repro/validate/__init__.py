@@ -11,9 +11,10 @@ differential gate:
   II, per-file register occupancy, and memory-bus traffic against the
   claims;
 * :func:`validate_point` does so under both evaluator tiers (``batch``,
-  the production array kernels, and ``0``, the dict oracle), additionally
-  requiring the tiers' analytics -- and the engine's batch chain -- to
-  agree, and statically proves the chain's materialized point;
+  the point a :class:`~repro.kernel.batch.LoopChain` materializes, and
+  ``0``, the dict reference pipeline), additionally requiring the tiers'
+  analytics -- and the result the engine serves -- to agree, and
+  statically proves the chain's materialized point;
 * :func:`run_sampled_validation` drives a seeded sample of suite points
   through the above -- the ``repro report --check`` and ``repro
   validate`` entry.

@@ -22,14 +22,14 @@ behaviour against every claim:
   :attr:`~repro.spill.spiller.LoopEvaluation.traffic_density`), and the
   per-cycle bus usage never exceeds the machine's memory bandwidth.
 
-:func:`validate_point` additionally runs the whole pipeline under both
-evaluator tiers -- ``batch`` (the production array kernels) and ``0`` (the
-dict oracle) -- and requires the tiers to agree with each other *and* with
-execution.  The ``batch`` tier also evaluates the point through the
-engine's :class:`~repro.kernel.batch.LoopChain` (the evaluator behind
-every run/report/serve result), whose summary must match the executed
-per-point pipeline; its static proof reads the chain's own materialized
-schedule and allocation.
+:func:`validate_point` additionally evaluates the point under both
+evaluator tiers -- ``batch`` (the production
+:class:`~repro.kernel.batch.LoopChain`, whose materialized evaluation is
+executed) and ``0`` (the dict reference: the pass pipeline) -- and
+requires the tiers to agree with each other *and* with execution.  The
+``batch`` tier's summary must also equal the result the engine serves for
+the point (:func:`repro.engine.jobs.execute_batch`); its static proof
+reads the chain's own materialized schedule and allocation.
 
 :func:`allocation_for` is deliberately a module-level seam: mutation
 tests (and the ``report --check`` teeth test) monkeypatch it to inject a
@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro import kernel
 from repro.check.coverage import check_grid_point
 from repro.check.invariants import StaticCheck
 from repro.core.dualfile import DualAllocation
@@ -55,10 +54,9 @@ from repro.sim.regfile import RegisterFileError
 from repro.spill.spiller import LoopEvaluation
 
 #: Evaluator tiers a point is validated under, production first:
-#: ``"batch"`` (array kernels, checked against the engine's chain too) and
-#: ``"0"`` (the dict oracle).  Maps each tier to its ``use_kernels`` flag.
-_TIER_KERNELS = {"batch": True, "0": False}
-TIERS = tuple(_TIER_KERNELS)
+#: ``"batch"`` (the chain, checked against the engine's served result too)
+#: and ``"0"`` (the dict reference pipeline).
+TIERS = ("batch", "0")
 
 
 class ValidationError(RuntimeError):
@@ -111,7 +109,7 @@ class FileOccupancy:
 
 @dataclass(frozen=True)
 class PointValidation:
-    """Outcome of executing one evaluated point under one kernel tier."""
+    """Outcome of executing one evaluated point under one evaluator tier."""
 
     reproducer: dict
     tier: str
@@ -238,11 +236,9 @@ def validate_evaluation(
     evaluation: LoopEvaluation,
     iterations: int | None = None,
     reproducer: dict | None = None,
-    tier: str | None = None,
+    tier: str = "batch",
 ) -> PointValidation:
     """Execute one evaluated point and cross-check every analytical claim."""
-    if tier is None:
-        tier = "batch" if kernel.kernels_enabled() else "0"
     if reproducer is None:
         reproducer = reproducer_spec(
             evaluation.loop,
@@ -472,7 +468,7 @@ def _tier_summary(evaluation: LoopEvaluation) -> dict:
     return summary
 
 
-def _chain_summary(
+def _served_summary(
     loop: Loop,
     machine: MachineConfig,
     model: Model,
@@ -504,27 +500,28 @@ def validate_point(
 ) -> ValidationReport:
     """Evaluate one point under every evaluator tier and validate each.
 
-    Each tier re-runs the full spill pipeline under its evaluator
-    (``use_kernels(True)`` for ``"batch"``, ``use_kernels(False)`` for
-    ``"0"``) and executes *its own* allocation; on top of the per-tier
-    simulator checks, the tiers' analytical summaries must be identical (a
-    ``tier`` mismatch otherwise).  The ``"batch"`` tier additionally
-    evaluates the point through the engine's chain
-    (:func:`repro.engine.jobs.execute_batch` on one
-    :func:`~repro.engine.jobs.evaluate_job`) -- the evaluator that serves
-    every run/report/serve result -- and reports a ``tier`` mismatch when
-    the chain's summary differs from the executed per-point pipeline.
-    ``static=True`` (the default) additionally proves, analytically, the
-    schedule/allocation of the evaluator that serves the point
-    (:func:`repro.check.coverage.check_grid_point`: the chain's
-    materialized exit node, or the per-point pipeline where the engine
-    falls back to it) -- the O(ops) static tier that runs on 100% of
-    points where simulation samples.  Extra ``knobs`` (the policy knobs
-    shared by :func:`repro.pipeline.pipelines.run_evaluation` and
-    :func:`~repro.engine.jobs.evaluate_job`) ride into all of them
-    verbatim.
+    The ``"batch"`` tier executes the evaluation a one-loop
+    :class:`~repro.kernel.batch.LoopChain` materializes
+    (:func:`repro.spill.spiller.evaluate_loop`), and reports a ``tier``
+    mismatch when its summary differs from the result the engine serves
+    for the point (:func:`repro.engine.jobs.execute_batch` on one
+    :func:`~repro.engine.jobs.evaluate_job`).  The ``"0"`` tier executes
+    the pass pipeline's evaluation
+    (:func:`repro.pipeline.pipelines.run_evaluation`, the dict
+    reference).  Each tier executes *its own* allocation; on top of the
+    per-tier simulator checks, the tiers' analytical summaries must be
+    identical (a ``tier`` mismatch otherwise).  Knobs without an array
+    implementation evaluate both tiers on the pipeline, as the engine
+    does.  ``static=True`` (the default) additionally proves,
+    analytically, the schedule/allocation of the evaluator that serves the
+    point (:func:`repro.check.coverage.check_grid_point`) -- the O(ops)
+    static tier that runs on 100% of points where simulation samples.
+    Extra ``knobs`` (the policy knobs shared by ``evaluate_loop``,
+    ``run_evaluation`` and :func:`~repro.engine.jobs.evaluate_job`) ride
+    into all of them verbatim.
     """
     from repro.pipeline.pipelines import run_evaluation
+    from repro.spill.spiller import evaluate_loop
 
     points: list[PointValidation] = []
     static_check = (
@@ -542,16 +539,19 @@ def validate_point(
     baseline: dict | None = None
     baseline_tier: str | None = None
     for tier in tiers:
-        if tier not in _TIER_KERNELS:
+        if tier not in TIERS:
             raise ValueError(f"unknown tier {tier!r}; expected one of {TIERS}")
-        with kernel.use_kernels(_TIER_KERNELS[tier]):
-            evaluation = run_evaluation(
+        served: dict | None = None
+        if tier == "batch":
+            evaluation = evaluate_loop(
                 loop, machine, model, register_budget, **knobs
             )
-            chain = (
-                _chain_summary(loop, machine, model, register_budget, knobs)
-                if tier == "batch"
-                else None
+            served = _served_summary(
+                loop, machine, model, register_budget, knobs
+            )
+        else:
+            evaluation = run_evaluation(
+                loop, machine, model, register_budget, **knobs
             )
         point = validate_evaluation(
             evaluation,
@@ -561,16 +561,16 @@ def validate_point(
         )
         summary = _tier_summary(evaluation)
         divergences: list[Mismatch] = []
-        if chain is not None and chain != summary:
+        if served is not None and served != summary:
             divergences.append(
                 Mismatch(
                     kind="tier",
                     message=(
-                        "the engine's batch chain diverges from the "
-                        "executed per-point pipeline"
+                        "the engine's served result diverges from the "
+                        "chain's executed evaluation"
                     ),
                     expected=summary,
-                    observed=chain,
+                    observed=served,
                 )
             )
         if baseline is None:

@@ -14,13 +14,13 @@ import dataclasses
 
 import pytest
 
-from repro import kernel
 from repro.check import check_evaluation, coverage, run_static_validation
 from repro.check.coverage import chain_claims, check_grid_point, point_chain
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.kernel.batch import LoopChain
 from repro.machine.config import paper_config
+from repro.pipeline.pipelines import run_evaluation
 from repro.pipeline.policies import SPILL_POLICIES, SpillPolicy, spillable_values
 from repro.regalloc.firstfit import PlacedLifetime
 from repro.sched.mii import edge_delay
@@ -173,12 +173,16 @@ class TestRouting:
         assert len(built) == 5
         assert len(result.points) == 5 * len(coverage.CHECK_MODELS)
 
-    def test_dict_oracle_falls_back_per_point(self, machine):
+    def test_pipeline_reference_proves_the_same_point(self, machine):
+        """The dict reference, called directly, is proved like the chain
+        and agrees with it on every number the engine serves."""
         loop = all_kernels()[0]
-        with kernel.use_kernels(False):
-            assert point_chain(loop, machine) is None
-            check = check_grid_point(loop, machine, Model.SWAPPED, 8)
+        summary, _evaluation = _materialize(loop, machine, Model.SWAPPED, 8)
+        reference = run_evaluation(loop, machine, Model.SWAPPED, 8)
+        check = check_evaluation(reference)
         assert check.ok, check.describe()
+        assert chain_claims(summary, reference) == []
+        assert check_grid_point(loop, machine, Model.SWAPPED, 8).ok
 
     def test_custom_victim_policy_proves_through_the_fallback(
         self, loop, machine, monkeypatch

@@ -1,19 +1,18 @@
-"""Grid-batched execution: batched == per-point == dict oracle, bit for bit.
+"""Grid-batched execution: the chain == the pipeline reference, bit for bit.
 
 The engine moves sharing into one :class:`repro.kernel.batch.LoopChain`
 per job group, so the differential contract is stated here at the
 ``run_jobs`` boundary: the same job list must produce the same
-:class:`JobResult` objects grouped through the chain, per point through
-the array kernels (``execute_job``), and on the dict oracle
-(``use_kernels(False)``), over the golden Figure 8/9 bench grid and under
-every policy knob the array path claims to support.
+:class:`JobResult` objects grouped through the chain and per point through
+the pass pipeline (``execute_job``, the dict reference), over the golden
+Figure 8/9 bench grid and under every policy knob the chain claims to
+support.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import kernel
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.engine.cache import ResultCache
@@ -60,40 +59,31 @@ def grid_jobs(loops, machine):
 
 
 def _evaluators(jobs):
-    """Grouped ``run_jobs``, per-point kernels, and the dict oracle."""
+    """Grouped ``run_jobs`` and the pass pipeline per job."""
     grouped = run_jobs(jobs, workers=0, cache=None)
-    per_point = [execute_job(job) for job in jobs]
-    with kernel.use_kernels(False):
-        oracle = run_jobs(jobs, workers=0, cache=None)
-    return grouped, per_point, oracle
+    reference = [execute_job(job) for job in jobs]
+    return grouped, reference
 
 
-class TestEvaluatorToggle:
-    def test_kernels_are_the_default(self):
-        assert kernel.kernels_enabled()
-
-    def test_oracle_toggle_restores(self):
-        with kernel.use_kernels(False):
-            assert not kernel.kernels_enabled()
-        assert kernel.kernels_enabled()
-
-    def test_oracle_skips_the_chain(self, loops, machine, monkeypatch):
-        """Under the oracle, ``execute_batch`` runs per job on dicts."""
+class TestReference:
+    def test_reference_never_builds_a_chain(
+        self, loops, machine, monkeypatch
+    ):
+        """``execute_job`` is the pipeline: it runs with the chain gone."""
+        jobs = [evaluate_job(loops[0], machine, Model.UNIFIED, 32)]
+        served = execute_batch(jobs)
 
         def no_chain(*_args, **_kwargs):
-            raise AssertionError("the dict oracle must not build a chain")
+            raise AssertionError("the pipeline reference built a chain")
 
         monkeypatch.setattr(kbatch, "LoopChain", no_chain)
-        jobs = [evaluate_job(loops[0], machine, Model.UNIFIED, 32)]
-        with kernel.use_kernels(False):
-            assert execute_batch(jobs) == [execute_job(jobs[0])]
+        assert [execute_job(jobs[0])] == served
 
 
 class TestDifferential:
     def test_golden_grid_identical_across_tiers(self, grid_jobs):
-        grouped, per_point, oracle = _evaluators(grid_jobs)
-        assert grouped == per_point
-        assert per_point == oracle
+        grouped, reference = _evaluators(grid_jobs)
+        assert grouped == reference
 
     @pytest.mark.parametrize(
         "policy", ["first", "most_registers", "most_consumers", "least_traffic"]
@@ -105,8 +95,8 @@ class TestDifferential:
             )
             for loop in loops[:4]
         ]
-        grouped, per_point, oracle = _evaluators(jobs)
-        assert grouped == per_point == oracle
+        grouped, reference = _evaluators(jobs)
+        assert grouped == reference
 
     @pytest.mark.parametrize("escalation", ["increment", "geometric"])
     def test_increase_ii_strategy_identical(self, loops, escalation):
@@ -122,8 +112,8 @@ class TestDifferential:
             )
             for loop in loops[:4]
         ]
-        grouped, per_point, oracle = _evaluators(jobs)
-        assert grouped == per_point == oracle
+        grouped, reference = _evaluators(jobs)
+        assert grouped == reference
 
     def test_execute_batch_matches_execute_job(self, loops, machine):
         loop = loops[0]
@@ -199,8 +189,8 @@ class TestDispatch:
                 )
                 for loop in loops[:3]
             ]
-            grouped, per_point, oracle = _evaluators(jobs)
-            assert grouped == per_point == oracle
+            grouped, reference = _evaluators(jobs)
+            assert grouped == reference
         finally:
             del SPILL_POLICIES[LowestId.name]
 
@@ -217,4 +207,15 @@ class TestChainSupports:
         with pytest.raises(ValueError, match="no array"):
             kbatch.LoopChain(
                 loops[0].graph, machine, victim_policy="custom-policy"
+            )
+
+    def test_unknown_policy_rejected_like_the_pipeline(self, loops, machine):
+        """``increase_ii`` batches any policy name, but an unregistered one
+        still fails eagerly, as ``evaluation_pipeline`` does."""
+        with pytest.raises(ValueError, match="unknown victim policy"):
+            kbatch.LoopChain(
+                loops[0].graph,
+                machine,
+                victim_policy="nope",
+                pressure_strategy="increase_ii",
             )

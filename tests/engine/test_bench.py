@@ -21,7 +21,7 @@ from repro.bench import (
 def snapshot():
     return run_bench(
         n_loops=2,
-        scenarios=("cold_kernel", "cold_batch", "cold_legacy", "warm"),
+        scenarios=("cold_batch", "cold_legacy", "warm"),
     )
 
 
@@ -29,21 +29,27 @@ class TestRunBench:
     def test_snapshot_shape(self, snapshot):
         assert set(snapshot) == {"meta", "scenarios", "ratios"}
         assert snapshot["meta"]["loops"] == 2
-        for name in ("cold_kernel", "cold_batch", "cold_legacy", "warm"):
+        for name in ("cold_batch", "cold_legacy", "warm"):
             data = snapshot["scenarios"][name]
             assert data["points"] == 2 * 7  # ideal + 2 budgets x 3 models
             assert data["seconds"] >= 0
-        assert "kernel_speedup" in snapshot["ratios"]
-        assert "batch_speedup" in snapshot["ratios"]
-        assert "warm_speedup" in snapshot["ratios"]
+        assert set(snapshot["ratios"]) == {"kernel_speedup", "warm_speedup"}
 
-    def test_batch_speedup_is_cold_over_batch(self, snapshot):
+    def test_kernel_speedup_is_legacy_over_batch(self, snapshot):
         expected = round(
-            snapshot["scenarios"]["cold_kernel"]["seconds"]
+            snapshot["scenarios"]["cold_legacy"]["seconds"]
             / snapshot["scenarios"]["cold_batch"]["seconds"],
             2,
         )
-        assert snapshot["ratios"]["batch_speedup"] == expected
+        assert snapshot["ratios"]["kernel_speedup"] == expected
+
+    def test_warm_speedup_is_batch_over_warm(self, snapshot):
+        expected = round(
+            snapshot["scenarios"]["cold_batch"]["seconds"]
+            / snapshot["scenarios"]["warm"]["seconds"],
+            2,
+        )
+        assert snapshot["ratios"]["warm_speedup"] == expected
 
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError, match="unknown bench scenario"):
@@ -106,16 +112,16 @@ class TestRegressionGate:
     def test_older_baseline_missing_new_scenario_passes(
         self, snapshot, tmp_path
     ):
-        """A baseline predating cold_batch must not crash or fail the gate."""
+        """A baseline predating warm must not crash or fail the gate."""
         baseline = json.loads(json.dumps(snapshot))
-        del baseline["scenarios"]["cold_batch"]
-        del baseline["ratios"]["batch_speedup"]
+        del baseline["scenarios"]["warm"]
+        del baseline["ratios"]["warm_speedup"]
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps(baseline))
         assert check_regression(snapshot, path, max_regression=0.25) == []
         gaps = baseline_gaps(snapshot, path)
-        assert any("cold_batch" in gap for gap in gaps)
-        assert any("batch_speedup" in gap for gap in gaps)
+        assert any("'warm'" in gap for gap in gaps)
+        assert any("warm_speedup" in gap for gap in gaps)
 
     def test_no_gaps_against_matching_baseline(self, snapshot, tmp_path):
         path = tmp_path / "baseline.json"
@@ -125,12 +131,12 @@ class TestRegressionGate:
     def test_every_ratio_gates_at_the_cli_tolerance(self, tmp_path):
         path = tmp_path / "baseline.json"
         path.write_text(
-            json.dumps({"ratios": {"kernel_speedup": 2.0, "batch_speedup": 3.0}})
+            json.dumps({"ratios": {"kernel_speedup": 2.0, "warm_speedup": 3.0}})
         )
-        snap = {"ratios": {"kernel_speedup": 1.95, "batch_speedup": 2.7}}
+        snap = {"ratios": {"kernel_speedup": 1.95, "warm_speedup": 2.7}}
         failures = check_regression(snap, path, max_regression=0.05)
         assert len(failures) == 1
-        assert "batch_speedup" in failures[0]
+        assert "warm_speedup" in failures[0]
         assert "5%" in failures[0]
 
 
@@ -143,15 +149,15 @@ class TestCli:
                 "--loops",
                 "1",
                 "--scenario",
-                "cold_kernel",
+                "cold_batch",
                 "--json",
                 str(out),
             ]
         )
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["scenarios"]["cold_kernel"]["points"] == 7
-        assert "cold_kernel" in capsys.readouterr().out
+        assert data["scenarios"]["cold_batch"]["points"] == 7
+        assert "cold_batch" in capsys.readouterr().out
 
     def test_bench_gate_exit_code(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
@@ -162,7 +168,7 @@ class TestCli:
                 "--loops",
                 "1",
                 "--scenario",
-                "cold_kernel",
+                "cold_batch",
                 "--scenario",
                 "cold_legacy",
                 "--baseline",
@@ -174,7 +180,6 @@ class TestCli:
 
     def test_scenario_registry_is_cli_choices(self):
         assert SCENARIOS == (
-            "cold_kernel",
             "cold_batch",
             "cold_legacy",
             "warm",
@@ -194,9 +199,9 @@ class TestCli:
                 "--loops",
                 "1",
                 "--scenario",
-                "cold_kernel",
-                "--scenario",
                 "cold_batch",
+                "--scenario",
+                "warm",
                 "--baseline",
                 str(baseline),
             ]
@@ -204,4 +209,4 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "bench note" in out
-        assert "batch_speedup" in out
+        assert "warm_speedup" in out

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro import kernel
 from repro.ir.builder import LoopBuilder
 from repro.machine.config import example_config, paper_config
@@ -108,16 +106,18 @@ class TestConsumerMap:
             assert cmap[op.op_id] == expected
 
 
-class TestToggle:
-    def test_use_kernels_restores_state(self):
-        initial = kernel.kernels_enabled()
-        with kernel.use_kernels(not initial):
-            assert kernel.kernels_enabled() is not initial
-        assert kernel.kernels_enabled() is initial
+class TestLift:
+    """The lowered arrays lift back to the dict reference's dataclasses."""
 
-    def test_use_kernels_restores_state_on_error(self):
-        initial = kernel.kernels_enabled()
-        with pytest.raises(RuntimeError):
-            with kernel.use_kernels(not initial):
-                raise RuntimeError("boom")
-        assert kernel.kernels_enabled() is initial
+    def test_chain_root_lifts_to_the_reference_schedule(self):
+        from repro.kernel.batch import LoopChain
+        from repro.regalloc.lifetimes import lifetimes
+        from repro.sched.modulo import modulo_schedule
+
+        machine = paper_config(6)
+        for index in range(6):
+            graph = generate_loop(index).graph
+            root = LoopChain(graph, machine).root
+            reference = modulo_schedule(graph, machine)
+            assert root.schedule == reference
+            assert root.lifetimes == lifetimes(reference)

@@ -57,7 +57,8 @@ class TestBitOccupancy:
             )
 
     def test_full_allocations_match_legacy(self):
-        from repro import kernel
+        """Bitmask first-fit in ``first_fit``'s insertion order lands on
+        the interval-set reference's shift for every lifetime."""
         from repro.regalloc.firstfit import first_fit
 
         rng = random.Random(9)
@@ -67,14 +68,12 @@ class TestBitOccupancy:
             for op_id in range(rng.randint(1, 14)):
                 start = rng.randint(0, 20)
                 lts.append(Lifetime(op_id, start, start + rng.randint(1, 25)))
-            with kernel.use_kernels(False):
-                legacy = first_fit(lts, ii)
-            with kernel.use_kernels(True):
-                masked = first_fit(lts, ii)
-            assert legacy.placements == masked.placements
-            assert (
-                legacy.registers_required == masked.registers_required
-            )
+            legacy = first_fit(lts, ii)
+            occupied = BitOccupancy()
+            for lt in sorted(lts, key=lambda l: (l.start, l.op_id)):
+                shift = first_fit_shift(lt.start, lt.end, ii, (occupied,))
+                occupied.add(lt.start + shift * ii, lt.end + shift * ii)
+                assert legacy.placements[lt.op_id].shift == shift
 
 
 class TestFirstFitShift:

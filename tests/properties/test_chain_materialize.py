@@ -178,3 +178,39 @@ class TestHighPressureGraphs:
                 max_rounds=rounds,
                 victim_policy=policy,
             )
+
+
+class TestLiftNotRecompute:
+    """``materialize`` lifts the allocation the walk computed; it never
+    runs the dict allocators or the swap search a second time."""
+
+    def test_materialize_never_reallocates(self, machine, monkeypatch):
+        import repro.core.models as models
+        import repro.core.swapping as swapping
+        import repro.kernel.batch as batch
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("materialize re-derived the allocation")
+
+        for module, name in (
+            (models, "required_registers"),
+            (models, "greedy_swap"),
+            (models, "allocate_dual"),
+            (models, "allocate_unified"),
+            (swapping, "greedy_swap"),
+            (batch, "required_registers"),
+        ):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+        loop = max(all_kernels(), key=lambda k: len(k.graph))
+        chain = LoopChain(loop.graph, machine)
+        for model, budget in POINTS:
+            for estimator in SwapEstimator:
+                summary, evaluation = chain.materialize(
+                    loop, model, budget, estimator
+                )
+                assert evaluation.requirement.registers == summary.registers
+        swapped = chain.materialize(
+            loop, Model.SWAPPED, 6, SwapEstimator.MAXLIVE
+        )[1].requirement
+        assert swapped.swap is not None and swapped.dual is not None

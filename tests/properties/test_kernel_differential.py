@@ -1,12 +1,15 @@
-"""Differential properties: array kernels vs the dict-based reference.
+"""Differential properties: the LoopChain against the dict reference.
 
-Every public hot-path entry point dispatches on :func:`repro.kernel.
-kernels_enabled`; these tests drive *both* implementations over seeded
-synthetic loops (the calibrated workload) and hypothesis-generated graphs
-(the degenerate corners) and require bit-identical outcomes: same II and
-placements, same lifetimes, same register counts under every model, same
-swap traces, same spill traffic.  Any divergence is a kernel bug by
-definition -- the dict implementations are the specification.
+The production evaluator is :class:`repro.kernel.batch.LoopChain`; the
+public modules (:mod:`repro.sched.modulo`, :mod:`repro.regalloc`,
+:mod:`repro.core`, the pass pipeline over them) are the readable dict
+reference.  These tests drive both over seeded synthetic loops (the
+calibrated workload) and hypothesis-generated graphs (the degenerate
+corners) and require bit-identical outcomes: the same schedule, the same
+lifetimes, the same allocations under every model (compared as whole
+dataclasses), the same swap traces, the same spill traffic.  Any
+divergence is a chain bug by definition -- the dict implementations are
+the specification.
 """
 
 from __future__ import annotations
@@ -15,15 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernel
 from repro.core.models import Model, required_registers
+from repro.core.pressure import pressure_report
 from repro.core.swapping import SwapEstimator, greedy_swap
 from repro.engine.jobs import evaluate_job, execute_job, pressure_job
 from repro.engine.pool import run_jobs
 from repro.ir.loop import Loop
+from repro.kernel.batch import LoopChain
+from repro.kernel.lifetimes import live_profile_spans
+from repro.kernel.swap import greedy_swap_search
 from repro.machine.config import clustered_config, paper_config
 from repro.pipeline import ArtifactStore, run_evaluation, run_pressure
-from repro.regalloc.allocation import allocate_unified
 from repro.regalloc.lifetimes import lifetimes
 from repro.regalloc.maxlive import live_profile
 from repro.sched.modulo import modulo_schedule
@@ -35,22 +40,13 @@ SEEDS = range(24)
 
 #: Synthetic indices whose Swapped spill point is too slow on the dict
 #: reference swap search to re-run here (loop 4 has 99 ops).  Swapped
-#: dict-vs-kernel spill equality stays covered by the other indices and by
+#: chain-vs-dict spill equality stays covered by the other indices and by
 #: ``TestBatchDifferential``'s high-pressure property.
 SLOW_SWAPPED_ORACLE = frozenset({4})
 
 
-def _both(fn):
-    """Run ``fn`` under both implementations, returning the two results."""
-    with kernel.use_kernels(False):
-        legacy = fn()
-    with kernel.use_kernels(True):
-        arrays = fn()
-    return legacy, arrays
-
-
-def _swap_trace(schedule, **kwargs):
-    """Everything a greedy swap search decides, in comparable form."""
+def _reference_trace(schedule, **kwargs):
+    """Everything the dict swap search decides, in comparable form."""
     result = greedy_swap(schedule, **kwargs)
     return (
         result.swaps,
@@ -58,59 +54,90 @@ def _swap_trace(schedule, **kwargs):
         result.estimate_before,
         result.estimate_after,
         result.assignment,
-        result.schedule.placements,
+        {op_id: p.instance for op_id, p in result.schedule.placements.items()},
     )
+
+
+def _chain_trace(
+    chain, estimator=SwapEstimator.MAXLIVE, allow_moves=False
+):
+    """The same decisions from the array search on the chain's root."""
+    root = chain.root
+    times, insts, ii = root.sched
+    starts, ends = root.bounds
+    insts = list(insts)
+    asg = list(root.asg)
+    swaps, moves, before, after = greedy_swap_search(
+        root.la,
+        ii,
+        [t % ii for t in times],
+        insts,
+        asg,
+        starts,
+        ends,
+        estimator is SwapEstimator.FIRSTFIT,
+        1000,
+        allow_moves,
+    )
+    ids = root.la.ids
+    return (
+        tuple(swaps),
+        tuple(moves),
+        before,
+        after,
+        dict(zip(ids, asg)),
+        dict(zip(ids, insts)),
+    )
+
+
+def _assert_root_matches_reference(graph, machine):
+    """Schedule, lifetimes and every model's allocation at the root."""
+    chain = LoopChain(graph, machine)
+    reference = modulo_schedule(graph, machine)
+    root = chain.root
+    assert root.schedule == reference
+    lts = lifetimes(reference)
+    assert root.lifetimes == lts
+    assert list(root.lifetimes) == list(lts)  # same key order
+    for model in Model:
+        expected = required_registers(reference, model, lts=lts)
+        assert root.lift(model, SwapEstimator.MAXLIVE) == expected, model
+        assert root.requirement(model, SwapEstimator.MAXLIVE) == (
+            expected.registers
+        )
+    return chain, reference
 
 
 class TestSyntheticLoops:
     @pytest.mark.parametrize("index", SEEDS)
-    def test_schedule_and_lifetimes_identical(self, index, paper_l6):
-        loop = generate_loop(index)
-        legacy, arrays = _both(
-            lambda: modulo_schedule(loop.graph, paper_l6)
-        )
-        assert legacy.ii == arrays.ii
-        assert legacy.placements == arrays.placements
-        l0, l1 = _both(lambda: lifetimes(legacy))
-        assert l0 == l1
-        assert list(l0) == list(l1)  # same key order at the boundary
-
-    @pytest.mark.parametrize("index", SEEDS)
-    def test_requirements_identical_all_models(self, index, paper_l6):
-        loop = generate_loop(index)
-        schedule = modulo_schedule(loop.graph, paper_l6)
-
-        def measure():
-            return {
-                model: required_registers(schedule, model).registers
-                for model in Model
-            }
-
-        legacy, arrays = _both(measure)
-        assert legacy == arrays
+    def test_schedule_lifetimes_and_requirements_identical(
+        self, index, paper_l6
+    ):
+        _assert_root_matches_reference(generate_loop(index).graph, paper_l6)
 
     @pytest.mark.parametrize("index", SEEDS)
     def test_swap_traces_identical(self, index, paper_l6):
         loop = generate_loop(index)
-        schedule = modulo_schedule(loop.graph, paper_l6)
-        for kwargs in (
-            {},
-            {"allow_moves": True},
-            {"estimator": SwapEstimator.FIRSTFIT},
-        ):
-            legacy, arrays = _both(lambda: _swap_trace(schedule, **kwargs))
-            assert legacy == arrays, kwargs
+        chain = LoopChain(loop.graph, paper_l6)
+        schedule = chain.root.schedule
+        for estimator in SwapEstimator:
+            assert chain.root.lift(Model.SWAPPED, estimator).swap == (
+                greedy_swap(schedule, estimator=estimator)
+            ), estimator
+        assert _chain_trace(chain, allow_moves=True) == _reference_trace(
+            schedule, allow_moves=True
+        )
 
     @pytest.mark.parametrize("index", range(12))
     def test_swap_traces_identical_on_four_clusters(self, index):
         """Four subfiles: peaks shared by two clusters, moves across
         clusters that never meet in a swap."""
-        schedule = modulo_schedule(
-            generate_loop(index).graph, clustered_config(4)
-        )
-        for kwargs in ({}, {"allow_moves": True}):
-            legacy, arrays = _both(lambda: _swap_trace(schedule, **kwargs))
-            assert legacy == arrays, kwargs
+        chain = LoopChain(generate_loop(index).graph, clustered_config(4))
+        schedule = chain.root.schedule
+        for allow_moves in (False, True):
+            assert _chain_trace(chain, allow_moves=allow_moves) == (
+                _reference_trace(schedule, allow_moves=allow_moves)
+            ), allow_moves
 
     @pytest.mark.parametrize("index", range(12))
     def test_spill_evaluation_identical(self, index, paper_l6):
@@ -118,47 +145,48 @@ class TestSyntheticLoops:
         models = [Model.UNIFIED, Model.PARTITIONED]
         if index not in SLOW_SWAPPED_ORACLE:
             models.append(Model.SWAPPED)
-
-        def evaluate():
-            out = []
-            store = ArtifactStore(max_entries=1024)
-            for model in models:
-                ev = run_evaluation(
-                    loop, paper_l6, model, register_budget=24, store=store
-                )
-                out.append(
-                    (
-                        ev.ii,
-                        ev.spilled_values,
-                        ev.ii_increases,
-                        ev.fits,
-                        ev.requirement.registers,
-                        ev.spill_ops_per_iteration,
-                        ev.memory_ops_per_iteration,
-                    )
-                )
-            return out
-
-        legacy, arrays = _both(evaluate)
-        assert legacy == arrays
+        chain = LoopChain(loop.graph, paper_l6)
+        store = ArtifactStore(max_entries=1024)
+        for model in models:
+            summary, ev = chain.materialize(
+                loop, model, 24, SwapEstimator.MAXLIVE
+            )
+            ref = run_evaluation(
+                loop, paper_l6, model, register_budget=24, store=store
+            )
+            assert (
+                ev.ii,
+                ev.spilled_values,
+                ev.ii_increases,
+                ev.fits,
+                ev.requirement.registers,
+                ev.spill_ops_per_iteration,
+                ev.memory_ops_per_iteration,
+            ) == (
+                ref.ii,
+                ref.spilled_values,
+                ref.ii_increases,
+                ref.fits,
+                ref.requirement.registers,
+                ref.spill_ops_per_iteration,
+                ref.memory_ops_per_iteration,
+            ), model
+            assert summary.registers == ref.requirement.registers
 
     @pytest.mark.parametrize("index", range(8))
     def test_pressure_identical_on_four_clusters(self, index):
         machine = clustered_config(4)
         loop = generate_loop(index)
-
-        def pressure():
-            report = run_pressure(loop, machine, store=ArtifactStore(256))
-            return (
-                report.ii,
-                report.unified,
-                report.partitioned,
-                report.swapped,
-                report.max_live,
-            )
-
-        legacy, arrays = _both(pressure)
-        assert legacy == arrays
+        chain = pressure_report(loop, machine)
+        ref = run_pressure(loop, machine, store=ArtifactStore(256))
+        assert chain.schedule == ref.schedule
+        assert (
+            chain.mii,
+            chain.unified,
+            chain.partitioned,
+            chain.swapped,
+            chain.max_live,
+        ) == (ref.mii, ref.unified, ref.partitioned, ref.swapped, ref.max_live)
 
 
 class TestRandomGraphs:
@@ -166,30 +194,15 @@ class TestRandomGraphs:
     @settings(max_examples=25, deadline=None)
     def test_schedule_allocation_swap_identical(self, graph, latency):
         machine = paper_config(latency)
-        legacy, arrays = _both(lambda: modulo_schedule(graph, machine))
-        assert legacy.ii == arrays.ii
-        assert legacy.placements == arrays.placements
-        schedule = legacy
-
-        def analyze():
-            lts = lifetimes(schedule)
-            unified = allocate_unified(schedule, lts=lts)
-            swap = greedy_swap(schedule, lts=lts)
-            return (
-                {op_id: (p.shift) for op_id, p in unified.result.placements.items()},
-                unified.registers_required,
-                live_profile(lts.values(), schedule.ii),
-                swap.swaps,
-                swap.estimate_before,
-                swap.estimate_after,
-            )
-
-        l0, l1 = _both(analyze)
-        assert l0 == l1
+        chain, schedule = _assert_root_matches_reference(graph, machine)
+        lts = lifetimes(schedule)
+        assert live_profile_spans(zip(*chain.root.bounds), schedule.ii) == (
+            live_profile(lts.values(), schedule.ii)
+        )
 
 
 class TestSwapSearchUnderPressure:
-    """The kernel search prunes MAXLIVE candidates that cannot lower a
+    """The array search prunes MAXLIVE candidates that cannot lower a
     peak; the unpruned dict search is the oracle that the prune only ever
     skips candidates ``consider`` would reject."""
 
@@ -201,29 +214,29 @@ class TestSwapSearchUnderPressure:
     )
     @settings(max_examples=25, deadline=None)
     def test_swap_traces_identical(self, graph, machine):
-        schedule = modulo_schedule(graph, machine)
-        for kwargs in ({}, {"allow_moves": True}):
-            legacy, arrays = _both(lambda: _swap_trace(schedule, **kwargs))
-            assert legacy == arrays, kwargs
+        chain = LoopChain(graph, machine)
+        schedule = chain.root.schedule
+        for allow_moves in (False, True):
+            assert _chain_trace(chain, allow_moves=allow_moves) == (
+                _reference_trace(schedule, allow_moves=allow_moves)
+            ), allow_moves
 
 
 def _evaluators(jobs):
-    """Grouped ``run_jobs``, per-point kernels, and the dict oracle."""
+    """Grouped ``run_jobs`` (one chain per loop) and the pipeline per job."""
     grouped = run_jobs(jobs, workers=0, cache=None)
-    per_point = [execute_job(job) for job in jobs]
-    with kernel.use_kernels(False):
-        oracle = run_jobs(jobs, workers=0, cache=None)
-    return grouped, per_point, oracle
+    reference = [execute_job(job) for job in jobs]
+    return grouped, reference
 
 
 class TestBatchDifferential:
-    """The engine's grid-batched chain against per-point and the oracle.
+    """The engine's grid-batched chain against the pipeline per point.
 
     The walk sharing of :class:`repro.kernel.batch.LoopChain` (memoized
     chain nodes, lower-bound gating, array-space spilling) must be
     invisible at the ``run_jobs`` boundary: every (model, budget) point of
     a random graph returns the identical :class:`JobResult` grouped through
-    the chain, per point through ``execute_job``, and on the dict oracle.
+    the chain and per point through ``execute_job`` (the pass pipeline).
     """
 
     @given(dependence_graphs(), st.sampled_from([3, 6]))
@@ -236,22 +249,20 @@ class TestBatchDifferential:
             for model in (Model.UNIFIED, Model.PARTITIONED, Model.SWAPPED):
                 jobs.append(evaluate_job(loop, machine, model, budget))
         jobs.append(pressure_job(loop, machine))
-        grouped, per_point, oracle = _evaluators(jobs)
-        assert grouped == per_point
-        assert per_point == oracle
+        grouped, reference = _evaluators(jobs)
+        assert grouped == reference
 
     @given(high_pressure_graphs(), machines())
     @settings(max_examples=10, deadline=None)
     def test_engine_tiers_identical_under_pressure(self, graph, machine):
         """The adversarial shapes the sim differential sweeps -- dense
         arithmetic, pre-spilled store/reload chains, distance>1 edges,
-        degenerate single-cluster machines -- must also leave the kernel
-        evaluators bit-identical at the ``run_jobs`` boundary."""
+        degenerate single-cluster machines -- must also leave the chain
+        bit-identical to the pipeline at the ``run_jobs`` boundary."""
         loop = Loop(name="hyp-pressure", graph=graph, trip_count=50)
         jobs = [evaluate_job(loop, machine, Model.IDEAL, None)]
         for model in (Model.UNIFIED, Model.PARTITIONED, Model.SWAPPED):
             jobs.append(evaluate_job(loop, machine, model, 6))
         jobs.append(pressure_job(loop, machine))
-        grouped, per_point, oracle = _evaluators(jobs)
-        assert grouped == per_point
-        assert per_point == oracle
+        grouped, reference = _evaluators(jobs)
+        assert grouped == reference
