@@ -90,30 +90,43 @@ def _chain_trace(
     )
 
 
-def _assert_root_matches_reference(graph, machine):
-    """Schedule, lifetimes and every model's allocation at the root."""
-    chain = LoopChain(graph, machine)
+def _assert_schedule_and_lifetimes(chain, graph, machine):
+    """The chain root's schedule and lifetimes against the reference."""
     reference = modulo_schedule(graph, machine)
     root = chain.root
     assert root.schedule == reference
     lts = lifetimes(reference)
     assert root.lifetimes == lts
     assert list(root.lifetimes) == list(lts)  # same key order
+    return reference, lts
+
+
+def _assert_requirements(chain, reference, lts):
+    """Every model's allocation at the root, as whole dataclasses."""
+    root = chain.root
     for model in Model:
         expected = required_registers(reference, model, lts=lts)
         assert root.lift(model, SwapEstimator.MAXLIVE) == expected, model
         assert root.requirement(model, SwapEstimator.MAXLIVE) == (
             expected.registers
         )
-    return chain, reference
 
 
 class TestSyntheticLoops:
     @pytest.mark.parametrize("index", SEEDS)
-    def test_schedule_lifetimes_and_requirements_identical(
-        self, index, paper_l6
-    ):
-        _assert_root_matches_reference(generate_loop(index).graph, paper_l6)
+    def test_schedule_and_lifetimes_identical(self, index, paper_l6):
+        graph = generate_loop(index).graph
+        _assert_schedule_and_lifetimes(
+            LoopChain(graph, paper_l6), graph, paper_l6
+        )
+
+    @pytest.mark.parametrize("index", SEEDS)
+    def test_requirements_identical_all_models(self, index, paper_l6):
+        graph = generate_loop(index).graph
+        reference = modulo_schedule(graph, paper_l6)
+        _assert_requirements(
+            LoopChain(graph, paper_l6), reference, lifetimes(reference)
+        )
 
     @pytest.mark.parametrize("index", SEEDS)
     def test_swap_traces_identical(self, index, paper_l6):
@@ -194,8 +207,9 @@ class TestRandomGraphs:
     @settings(max_examples=25, deadline=None)
     def test_schedule_allocation_swap_identical(self, graph, latency):
         machine = paper_config(latency)
-        chain, schedule = _assert_root_matches_reference(graph, machine)
-        lts = lifetimes(schedule)
+        chain = LoopChain(graph, machine)
+        schedule, lts = _assert_schedule_and_lifetimes(chain, graph, machine)
+        _assert_requirements(chain, schedule, lts)
         assert live_profile_spans(zip(*chain.root.bounds), schedule.ii) == (
             live_profile(lts.values(), schedule.ii)
         )
