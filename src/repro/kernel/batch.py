@@ -151,9 +151,9 @@ def array_mii(la: LoopArrays, rec_floor: int = 1) -> tuple[int, int]:
             if bound > res:
                 res = bound
 
-    edges = list(zip(la.e_src, la.e_dst, la.e_delay, la.e_dist))
-    if not any(dist > 0 for *_, dist in edges):
+    if not la.carried:
         return res, 1  # acyclic: RecMII = 1 <= ResMII
+    edges = la.edges()
     ii = res if res > rec_floor else rec_floor
     if not _positive_cycle(la.n, edges, ii):
         return ii, rec_floor
@@ -200,14 +200,13 @@ class _Exact(NamedTuple):
 
 def _spill_arrays(
     la: LoopArrays,
-    extra: list[tuple[int, int, int, int]],
     k: int,
     store_pool: int,
     load_pool: int,
     store_lat: int,
     load_lat: int,
-) -> tuple[LoopArrays, list[tuple[int, int, int, int]], int]:
-    """Spill value slot ``k`` directly in array space.
+) -> tuple[LoopArrays, int]:
+    """Spill value slot ``k`` directly in array space, as a delta.
 
     The graph transform of :func:`repro.spill.spiller.spill_value` is pure
     appends plus consumer rewiring, so the child's :class:`LoopArrays` is
@@ -215,17 +214,19 @@ def _spill_arrays(
     :class:`DependenceGraph`: a store consuming the victim, one load per
     distinct ``(consumer, distance)``, every former use redirected to its
     load at distance 0, and a memory edge per load carrying the original
-    distance.  Untouched per-op lists are shared with the parent (they are
-    never mutated after construction); edge arrays are regenerated from the
-    rewired adjacency -- grouped by producer rather than in operand order,
-    which is immaterial (heights/MII are fixpoints and the scheduler reduces
-    over edge lists with max/min only).  Returns the child arrays, its
-    explicit edges, and the number of loads added.
+    distance.  The per-op lists are shallow copies of the parent's: only
+    the victim's out-list and its consumers' in-lists are rebuilt, and the
+    store and loads get fresh lists; every other list is shared (none is
+    mutated after construction).  The child carries no flat edge arrays
+    (readers use :meth:`LoopArrays.edges`), and a spill keeps every
+    distance, so it inherits ``carried``.  Returns the child arrays and
+    the number of loads added.
     """
     v = la.values[k]
     uses = la.cons[v]
     n_old = la.n
     store = n_old
+    lat_v = la.latency[v]
     # One load per distinct (consumer, distance), in first-use order; a
     # consumer using the value twice at one distance shares a load (and
     # contributes two rewired uses to it).
@@ -242,45 +243,47 @@ def _spill_arrays(
         load_cons[j].append((c, 0))
     n_loads = len(load_cons)
     n = n_old + 1 + n_loads
+    loads = range(n_old + 1, n)
 
     ids = la.ids + [la.ids[-1] + 1 + t for t in range(1 + n_loads)]
     index = dict(la.index)
-    for t in range(1 + n_loads):
-        index[ids[n_old + t]] = n_old + t
-    pool = la.pool + [store_pool] + [load_pool] * n_loads
-    latency = la.latency + [store_lat] + [load_lat] * n_loads
-    defines = la.defines + [False] + [True] * n_loads
-    values = la.values + list(range(n_old + 1, n))
+    for t in range(n_old, n):
+        index[ids[t]] = t
     cons = list(la.cons)
     cons[v] = [(store, 0)]
     cons.append([])  # the store defines no value
     cons.extend(load_cons)
 
-    e_src: list[int] = []
-    e_dst: list[int] = []
-    e_delay: list[int] = []
-    e_dist: list[int] = []
-    for u in range(n):
-        lu = latency[u]
-        for c, d in cons[u]:
-            e_src.append(u)
-            e_dst.append(c)
-            e_delay.append(lu)
-            e_dist.append(d)
-    new_extra = extra + [
-        (store, n_old + 1 + j, 1, load_dist[j]) for j in range(n_loads)
-    ]
-    for src, dst, delay, d in new_extra:
-        e_src.append(src)
-        e_dst.append(dst)
-        e_delay.append(delay)
-        e_dist.append(d)
-
-    in_edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    out_edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for src, dst, delay, d in zip(e_src, e_dst, e_delay, e_dist):
-        in_edges[dst].append((src, delay, d))
-        out_edges[src].append((dst, delay, d))
+    # The victim keeps its explicit out-edges behind its one flow edge,
+    # now to the store.
+    out_edges = list(la.out_edges)
+    out_edges[v] = [(store, lat_v, 0)] + la.out_edges[v][len(uses):]
+    out_edges.append([(load, 1, load_dist[j]) for j, load in enumerate(loads)])
+    out_edges.extend(
+        [(c, load_lat, 0) for c, _zero in load_cons[j]] for j in range(n_loads)
+    )
+    # Each consumer drops one ``(victim, lat_v, d)`` in-edge per use at
+    # distance ``d`` -- counted, so an explicit victim edge that happens
+    # to look the same survives -- and gains one from its load per use.
+    drop: dict[tuple[int, int], int] = {}
+    for c, d in uses:
+        drop[(c, d)] = drop.get((c, d), 0) + 1
+    in_edges = list(la.in_edges)
+    for c in dict.fromkeys(c for c, _d in uses):
+        kept: list[tuple[int, int, int]] = []
+        for edge in la.in_edges[c]:
+            src, delay, d = edge
+            if src == v and delay == lat_v and drop.get((c, d), 0):
+                drop[(c, d)] -= 1
+                continue
+            kept.append(edge)
+        in_edges[c] = kept
+    for j, load in enumerate(loads):
+        in_edges[load_cons[j][0][0]].extend(
+            [(load, load_lat, 0)] * len(load_cons[j])
+        )
+    in_edges.append([(v, lat_v, 0)])
+    in_edges.extend([(store, 1, d)] for d in load_dist)
 
     # Extend the parent's sinks-first order instead of re-sorting: the
     # store, and every load feeding its consumer at distance 0 (which
@@ -289,8 +292,8 @@ def _spill_arrays(
     relax_order: list[int] | None = None
     if la.relax_order is not None:
         at = la.relax_order.index(v)
-        near = [n_old + 1 + j for j in range(n_loads) if load_dist[j] == 0]
-        far = [n_old + 1 + j for j in range(n_loads) if load_dist[j] != 0]
+        near = [load for j, load in enumerate(loads) if load_dist[j] == 0]
+        far = [load for j, load in enumerate(loads) if load_dist[j] != 0]
         relax_order = (
             la.relax_order[:at] + near + [store] + la.relax_order[at:] + far
         )
@@ -300,20 +303,19 @@ def _spill_arrays(
         n=n,
         ids=ids,
         index=index,
-        pool=pool,
-        latency=latency,
-        defines=defines,
-        values=values,
+        pool=la.pool + [store_pool] + [load_pool] * n_loads,
+        latency=la.latency + [store_lat] + [load_lat] * n_loads,
+        defines=la.defines + [False] + [True] * n_loads,
+        values=la.values + list(loads),
         cons=cons,
-        e_src=e_src,
-        e_dst=e_dst,
-        e_delay=e_delay,
-        e_dist=e_dist,
         in_edges=in_edges,
         out_edges=out_edges,
+        extra=la.extra
+        + [(store, load, 1, load_dist[j]) for j, load in enumerate(loads)],
+        carried=la.carried,
         relax_order=relax_order,
     )
-    return child, new_extra, n_loads
+    return child, n_loads
 
 
 class _Node:
@@ -337,7 +339,6 @@ class _Node:
         "is_spill",
         "is_spill_store",
         "_la",
-        "_extra",
         "_mii",
         "_rec_floor",
         "_sched",
@@ -366,7 +367,6 @@ class _Node:
         la: LoopArrays | None = None,
         mii: int | None = None,
         rec_floor: int = 1,
-        extra: list[tuple[int, int, int, int]] | None = None,
         origin: "tuple[_Node, int | None] | None" = None,
     ) -> None:
         self.chain = chain
@@ -380,7 +380,6 @@ class _Node:
         self.is_spill = is_spill
         self.is_spill_store = is_spill_store
         self._la = la
-        self._extra = extra
         self._mii = mii
         #: A lower bound on this state's RecMII (exact once the MII search
         #: had to look past it); spill children inherit it.
@@ -407,27 +406,6 @@ class _Node:
         if self._la is None:  # only ever the root: children set arrays
             self._la = lower_loop(self.chain.graph, self.chain.machine)
         return self._la
-
-    @property
-    def extra(self) -> list[tuple[int, int, int, int]]:
-        """Explicit (non-flow) edges as ``(src, dst, delay, dist)`` tuples.
-
-        Flow edges always precede explicit ones in ``la`` (both the graph
-        lowering and :func:`_spill_arrays` keep that invariant), and there
-        is exactly one flow edge per consumer-adjacency entry.
-        """
-        if self._extra is None:
-            la = self.la
-            n_flow = sum(len(c) for c in la.cons)
-            self._extra = list(
-                zip(
-                    la.e_src[n_flow:],
-                    la.e_dst[n_flow:],
-                    la.e_delay[n_flow:],
-                    la.e_dist[n_flow:],
-                )
-            )
-        return self._extra
 
     @property
     def mii(self) -> int:
@@ -805,9 +783,8 @@ class _Node:
             la = self.la
             machine = self.chain.machine
             ma = la.ma
-            child_la, child_extra, n_loads = _spill_arrays(
+            child_la, n_loads = _spill_arrays(
                 la,
-                self.extra,
                 self.victim,
                 ma.index[machine.pool_for(OpType.STORE)],
                 ma.index[machine.pool_for(OpType.LOAD)],
@@ -825,7 +802,6 @@ class _Node:
                 self.is_spill_store + [True] + [False] * n_loads,
                 la=child_la,
                 rec_floor=self._rec_floor,
-                extra=child_extra,
                 origin=(self, victim_op),
             )
         return self._spill_child
@@ -843,7 +819,6 @@ class _Node:
                 la=self._la,
                 mii=self._mii,
                 rec_floor=self._rec_floor,
-                extra=self._extra,
                 origin=(self, None),
             )
         return self._esc_child

@@ -6,7 +6,10 @@ the flow-edge arrays simultaneously (the same traversal order as
 ``DependenceGraph.flow_edges`` / ``DependenceGraph.consumers``, so anything
 materialized back to the dict world enumerates identically); explicit
 memory/ordering edges are appended after the flow edges, matching
-``DependenceGraph.edges``.
+``DependenceGraph.edges``.  A spill child of a
+:class:`~repro.kernel.batch.LoopChain` node is a delta on such arrays
+(``batch._spill_arrays``) and carries the per-op edge lists only; every
+reader goes through :meth:`LoopArrays.edges`.
 
 Lowering is memoized per ``(graph, machine)`` and guarded by the graph's
 mutation counter: a graph rewritten in place (the loop builder binding a
@@ -32,6 +35,9 @@ class LoopArrays:
     Deliberately holds no reference to the source graph: the lowering
     cache is weakly keyed by the graph, and a back-reference here would
     keep every lowered graph alive for the process lifetime.
+
+    Lists are never mutated after construction, so a spill child shares
+    every per-op list it does not touch with its parent.
     """
 
     ma: MachineArrays
@@ -48,15 +54,24 @@ class LoopArrays:
     #: Per op index: ``(consumer index, distance)`` per use, in the exact
     #: order ``DependenceGraph.consumers`` yields them.
     cons: list[list[tuple[int, int]]]
-    #: All dependence edges (flow first, then explicit), as parallel arrays
-    #: of (src index, dst index, min issue-to-issue delay, distance).
-    e_src: list[int]
-    e_dst: list[int]
-    e_delay: list[int]
-    e_dist: list[int]
     #: Per op index: incoming/outgoing ``(other, delay, distance)`` triples.
+    #: An out-list starts with one flow edge per entry of ``cons`` (same
+    #: order), followed by the op's explicit edges.
     in_edges: list[list[tuple[int, int, int]]]
     out_edges: list[list[tuple[int, int, int]]]
+    #: Explicit (non-flow) edges as ``(src, dst, delay, distance)``, in
+    #: ``DependenceGraph.extra_edges`` order.
+    extra: list[tuple[int, int, int, int]]
+    #: Whether any edge has a positive distance (a loop-carried dependence).
+    carried: bool
+    #: All dependence edges (flow first, then explicit) as parallel arrays
+    #: of (src index, dst index, min issue-to-issue delay, distance), in
+    #: ``DependenceGraph.edges`` order.  Set by the graph lowering only; a
+    #: spill child leaves them ``None``.
+    e_src: list[int] | None = None
+    e_dst: list[int] | None = None
+    e_delay: list[int] | None = None
+    e_dist: list[int] | None = None
     #: Op indices sinks-first (a reverse topological order of the
     #: distance-0 subgraph): the order :func:`repro.kernel.modulo.heights`
     #: relaxes out-edges in.  Derived on first use and kept for every II
@@ -64,6 +79,23 @@ class LoopArrays:
     relax_order: list[int] | None = field(
         default=None, repr=False, compare=False
     )
+
+    def edges(self) -> list[tuple[int, int, int, int]]:
+        """Every edge as ``(src, dst, delay, distance)``.
+
+        In ``DependenceGraph.edges`` order when lowered from a graph;
+        grouped by source op on a spill child.  Readers (the MII search,
+        the sinks-first sort) are insensitive to edge order.
+        """
+        if self.e_src is not None:
+            assert self.e_dst is not None and self.e_delay is not None
+            assert self.e_dist is not None
+            return list(zip(self.e_src, self.e_dst, self.e_delay, self.e_dist))
+        return [
+            (src, dst, delay, dist)
+            for src, outs in enumerate(self.out_edges)
+            for dst, delay, dist in outs
+        ]
 
 
 def _build(graph: DependenceGraph, machine: MachineConfig) -> LoopArrays:
@@ -91,11 +123,20 @@ def _build(graph: DependenceGraph, machine: MachineConfig) -> LoopArrays:
                 e_dst.append(j)
                 e_delay.append(latency[src])
                 e_dist.append(operand.distance)
-    for edge in graph.extra_edges():
-        e_src.append(index[edge.src])
-        e_dst.append(index[edge.dst])
-        e_delay.append(edge.min_delay if edge.min_delay is not None else 1)
-        e_dist.append(edge.distance)
+    extra = [
+        (
+            index[edge.src],
+            index[edge.dst],
+            edge.min_delay if edge.min_delay is not None else 1,
+            edge.distance,
+        )
+        for edge in graph.extra_edges()
+    ]
+    for src, dst, delay, dist in extra:
+        e_src.append(src)
+        e_dst.append(dst)
+        e_delay.append(delay)
+        e_dist.append(dist)
 
     in_edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     out_edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -113,12 +154,14 @@ def _build(graph: DependenceGraph, machine: MachineConfig) -> LoopArrays:
         defines=defines,
         values=values,
         cons=cons,
+        in_edges=in_edges,
+        out_edges=out_edges,
+        extra=extra,
+        carried=any(dist > 0 for dist in e_dist),
         e_src=e_src,
         e_dst=e_dst,
         e_delay=e_delay,
         e_dist=e_dist,
-        in_edges=in_edges,
-        out_edges=out_edges,
     )
 
 

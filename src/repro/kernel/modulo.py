@@ -5,8 +5,8 @@ priority function, same tie breaks, same forcing and displacement rules,
 same operation budget -- with the dict-of-tuples MRT replaced by one
 occupancy word per (kernel row, pool).  The free-instance probe becomes
 "lowest zero bit of the word" and unschedule/place become single bit
-operations; an occupant table keeps op indices for victim selection when a
-full row forces a displacement.
+operations; one flat occupant table keeps op indices for victim selection
+when a full row forces a displacement.
 
 Operation indices ascend with op ids (see :mod:`repro.kernel.loop`), so
 every id-based tie break below is expressed on indices unchanged.
@@ -27,7 +27,7 @@ def _sinks_first(la: LoopArrays) -> list[int]:
     n = la.n
     pending = [0] * n
     preds: list[list[int]] = [[] for _ in range(n)]
-    for src, dst, dist in zip(la.e_src, la.e_dst, la.e_dist):
+    for src, dst, _delay, dist in la.edges():
         if dist == 0:
             pending[src] += 1
             preds[dst].append(src)
@@ -115,11 +115,13 @@ def attempt(
         rank[i] = r
     cursor = 0
 
-    # MRT: one occupancy word and one occupant list per (row, pool) cell.
+    # MRT: one occupancy word per (row, pool) cell, and one flat occupant
+    # table with ``width`` entries per cell (instance k of cell at
+    # ``cell * width + k``).
+    counts = ma.counts
+    width = max(counts)
     occ_mask = [0] * (ii * n_pools)
-    occ_ops = [
-        [-1] * ma.counts[cell % n_pools] for cell in range(ii * n_pools)
-    ]
+    occ_ops = [-1] * (ii * n_pools * width)
 
     while n_unscheduled:
         if budget <= 0:
@@ -161,17 +163,19 @@ def attempt(
             else:
                 chosen_time = estart
             cell = (chosen_time % ii) * n_pools + p
-            occupants = occ_ops[cell]
+            base = cell * width
             # Displace the lowest-height occupant; ties to the highest id.
+            # The whole row is full, or the window search would have
+            # found a free instance.
             victim_idx = 0
-            victim = occupants[0]
-            for k in range(1, len(occupants)):
-                o = occupants[k]
+            victim = occ_ops[base]
+            for k in range(1, counts[p]):
+                o = occ_ops[base + k]
                 if h[o] < h[victim] or (h[o] == h[victim] and o > victim):
                     victim_idx = k
                     victim = o
             occ_mask[cell] &= ~(1 << victim_idx)
-            occupants[victim_idx] = -1
+            occ_ops[base + victim_idx] = -1
             time[victim] = -1
             inst[victim] = -1
             unscheduled[victim] = True
@@ -182,7 +186,7 @@ def attempt(
 
         cell = (chosen_time % ii) * n_pools + p
         occ_mask[cell] |= 1 << chosen_inst
-        occ_ops[cell][chosen_inst] = op
+        occ_ops[cell * width + chosen_inst] = op
         time[op] = chosen_time
         inst[op] = chosen_inst
         ever[op] = True
@@ -199,7 +203,7 @@ def attempt(
                 cell = (t % ii) * n_pools + pool[dst]
                 k = inst[dst]
                 occ_mask[cell] &= ~(1 << k)
-                occ_ops[cell][k] = -1
+                occ_ops[cell * width + k] = -1
                 time[dst] = -1
                 inst[dst] = -1
                 unscheduled[dst] = True

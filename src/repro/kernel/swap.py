@@ -6,16 +6,18 @@ O(values x (operands + II)) rebuild per candidate that dominates the entire
 reproduction (the profiler attributes ~90% of a cold Figure 8/9 grid to
 it).  Here the MAXLIVE estimator is maintained incrementally:
 
-* per value: its consumer-use count in each cluster and its current
-  subfile-membership bitmask;
-* per cluster: the live profile over the II kernel cycles.
+* per value: its consumer-use count in each cluster, its current
+  subfile-membership bitmask and its packed live contribution;
+* per cluster: the live profile over the II kernel cycles, packed into one
+  integer with a fixed-width field per cycle.
 
 Reassigning one operation touches only the values it consumes (plus its own
-value when nothing consumes it); each membership flip adds/removes one
-value's span contribution from one cluster profile.  A candidate is
-evaluated by applying the two reassignments, reading ``max`` of the (two)
-profiles, and applying the inverse -- O(touched values x II) instead of a
-full rebuild.
+value when nothing consumes it); each membership flip adds or subtracts one
+value's packed contribution to one cluster profile -- a single bigint
+operation, whatever the II.  A candidate is evaluated by applying the two
+reassignments, reading the peak field of each profile (``int.to_bytes``
+viewed through ``memoryview.cast``), and applying the inverse -- O(touched
+values) bigint updates instead of a full rebuild.
 
 Candidates are ranked exactly like the legacy ``consider`` hook: strictly
 improving values only, minimized by ``(estimate, action tuple)`` where
@@ -40,12 +42,33 @@ definition), unpruned, on the bitmask allocator of :mod:`repro.kernel.dual`.
 
 from __future__ import annotations
 
+import sys
+from typing import Literal, Sequence
+
 from repro.kernel.dual import dual_registers, membership_masks
 from repro.kernel.loop import LoopArrays
 
 
+#: ``memoryview.cast`` formats of the unsigned profile fields, by byte width.
+_FIELD_FORMATS: dict[int, Literal["B", "H", "I", "Q"]] = {
+    1: "B",
+    2: "H",
+    4: "I",
+    8: "Q",
+}
+
+
 class _MaxLiveState:
-    """Per-cluster live profiles under an evolving cluster assignment."""
+    """Per-cluster live profiles under an evolving cluster assignment.
+
+    A profile is one Python int: cycle ``x`` is the unsigned field of
+    ``8 * size`` bits at bit ``x * 8 * size``.  Each value slot has one
+    packed contribution (``whole`` in every field plus one in each of its
+    ``rem`` partial cycles), so a membership flip is one bigint add or
+    subtract.  No field ever exceeds the sum over slots of ``whole + 1``,
+    and ``size`` is the smallest field width holding that bound, so fields
+    never carry into each other.
+    """
 
     def __init__(
         self,
@@ -91,33 +114,48 @@ class _MaxLiveState:
             else:
                 mask = ((1 << length) - 1) << (start % ii)
                 self.live_mask.append((mask | mask >> ii) & full)
-        self.prof = [[0] * ii for _ in range(self.n_clusters)]
+
+        bound = sum((end - start) // ii + 1 for start, end in zip(starts, ends))
+        self.size = next(
+            (size for size in _FIELD_FORMATS if bound < 1 << 8 * size), 0
+        )
+        if not self.size:
+            raise OverflowError(f"live profile bound {bound} exceeds 64 bits")
+        self.format = _FIELD_FORMATS[self.size]
+        bits = 8 * self.size
+        field_max = (1 << bits) - 1
+        #: ``ones[r]``: a 1 in each of the lowest ``r`` fields.
+        ones = [((1 << bits * r) - 1) // field_max for r in range(ii + 1)]
+
+        #: Per value slot: its packed contribution to a profile.
+        self.contrib: list[int] = []
+        for start, end in zip(starts, ends):
+            whole, rem = divmod(end - start, ii)
+            packed = whole * ones[ii]
+            if rem:
+                lo = start % ii
+                head = rem if rem < ii - lo else ii - lo
+                # The part past the last cycle wraps to cycle 0.
+                packed += (ones[head] << bits * lo) + ones[rem - head]
+            self.contrib.append(packed)
+        self.prof = [0] * self.n_clusters
         for k, mask in enumerate(self.mem):
             for c in range(self.n_clusters):
                 if mask >> c & 1:
-                    self._span(k, c, 1)
+                    self.prof[c] += self.contrib[k]
 
-    def _span(self, slot: int, cluster: int, sign: int) -> None:
-        """Add/remove value ``slot``'s live contribution to one profile."""
-        profile = self.prof[cluster]
-        ii = self.ii
-        start = self.starts[slot]
-        whole, rem = divmod(self.ends[slot] - start, ii)
-        if whole:
-            delta = whole * sign
-            for x in range(ii):
-                profile[x] += delta
-        if rem:
-            lo = start % ii
-            hi = lo + rem
-            if hi <= ii:
-                for x in range(lo, hi):
-                    profile[x] += sign
-            else:
-                for x in range(lo, ii):
-                    profile[x] += sign
-                for x in range(hi - ii):
-                    profile[x] += sign
+    def _view(self, packed: int) -> memoryview:
+        """The fields of one packed profile, in native order."""
+        return memoryview(
+            packed.to_bytes(self.size * self.ii, sys.byteorder)
+        ).cast(self.format)
+
+    def fields(self, cluster: int) -> Sequence[int]:
+        """``cluster``'s live count per kernel cycle ``0 .. II-1``."""
+        view = self._view(self.prof[cluster])
+        # Native order lists the low field first only on little-endian
+        # hosts; on big-endian ones the fields come out last cycle first.
+        return view if sys.byteorder == "little" else view[::-1]
 
     def set_cluster(self, op: int, new_cluster: int) -> None:
         """Move ``op`` to ``new_cluster``, updating profiles incrementally."""
@@ -125,11 +163,13 @@ class _MaxLiveState:
         if old_cluster == new_cluster:
             return
         self.asg[op] = new_cluster
+        prof = self.prof
+        contrib = self.contrib
         slot = self.slot_of[op]
         if slot >= 0 and self.total_cons[slot] == 0:
             # A value nothing consumes follows its producer's subfile.
-            self._span(slot, old_cluster, -1)
-            self._span(slot, new_cluster, 1)
+            prof[old_cluster] -= contrib[slot]
+            prof[new_cluster] += contrib[slot]
             self.mem[slot] = 1 << new_cluster
         for slot2, uses in self.consumed[op]:
             row = self.cnt[slot2]
@@ -147,9 +187,9 @@ class _MaxLiveState:
                 for c in range(self.n_clusters):
                     bit = 1 << c
                     if removed & bit:
-                        self._span(slot2, c, -1)
+                        prof[c] -= contrib[slot2]
                     if added & bit:
-                        self._span(slot2, c, 1)
+                        prof[c] += contrib[slot2]
                 self.mem[slot2] = new_mask
 
     def improvers(self, current: int) -> tuple[int, list[bool]]:
@@ -163,8 +203,9 @@ class _MaxLiveState:
         """
         peak_cycles = [0] * self.n_clusters
         n_peak = 0
-        for c, profile in enumerate(self.prof):
-            if max(profile) == current:
+        for c in range(self.n_clusters):
+            profile = self.fields(c)
+            if max(profile, default=0) == current:
                 n_peak += 1
                 mask = 0
                 for x, live in enumerate(profile):
@@ -198,8 +239,9 @@ class _MaxLiveState:
     def estimate(self) -> int:
         """Worst per-cluster MaxLive (0 when a profile is empty)."""
         worst = 0
-        for profile in self.prof:
-            peak = max(profile) if profile else 0
+        for packed in self.prof:
+            # Field order is immaterial to the peak: read native fields.
+            peak = max(self._view(packed), default=0)
             if peak > worst:
                 worst = peak
         return worst

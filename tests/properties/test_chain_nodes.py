@@ -67,7 +67,7 @@ def assert_nodes_match_reference(chain: LoopChain, points) -> None:
         order = la.relax_order
         assert sorted(order) == list(range(la.n)), context
         position = {op: k for k, op in enumerate(order)}
-        for src, dst, dist in zip(la.e_src, la.e_dst, la.e_dist):
+        for src, dst, _delay, dist in la.edges():
             if dist == 0:
                 assert position[dst] < position[src], context
 

@@ -27,7 +27,7 @@ from repro.ir.loop import Loop
 from repro.kernel.batch import LoopChain
 from repro.kernel.lifetimes import live_profile_spans
 from repro.kernel.swap import greedy_swap_search
-from repro.machine.config import clustered_config, paper_config
+from repro.machine.config import clustered_config, example_config, paper_config
 from repro.pipeline import ArtifactStore, run_evaluation, run_pressure
 from repro.regalloc.lifetimes import lifetimes
 from repro.regalloc.maxlive import live_profile
@@ -213,6 +213,19 @@ class TestRandomGraphs:
         assert live_profile_spans(zip(*chain.root.bounds), schedule.ii) == (
             live_profile(lts.values(), schedule.ii)
         )
+
+
+class TestUnequalUnitCounts:
+    """The IMS attempt's flat occupant table on a machine whose pools have
+    different unit counts (the example machine: 2 adders, 2 multipliers,
+    4 memory ports), where full rows force displacements."""
+
+    @given(high_pressure_graphs())
+    @settings(max_examples=20, deadline=None)
+    def test_schedule_identical(self, graph):
+        machine = example_config()
+        chain = LoopChain(graph, machine)
+        assert chain.root.schedule == modulo_schedule(graph, machine)
 
 
 class TestSwapSearchUnderPressure:
