@@ -217,10 +217,9 @@ def _spill_arrays(
     distance.  The per-op lists are shallow copies of the parent's: only
     the victim's out-list and its consumers' in-lists are rebuilt, and the
     store and loads get fresh lists; every other list is shared (none is
-    mutated after construction).  The child carries no flat edge arrays
-    (readers use :meth:`LoopArrays.edges`), and a spill keeps every
-    distance, so it inherits ``carried``.  Returns the child arrays and
-    the number of loads added.
+    mutated after construction).  A spill keeps every distance, so the
+    child inherits ``carried``.  Returns the child arrays and the number
+    of loads added.
     """
     v = la.values[k]
     uses = la.cons[v]
@@ -310,8 +309,6 @@ def _spill_arrays(
         cons=cons,
         in_edges=in_edges,
         out_edges=out_edges,
-        extra=la.extra
-        + [(store, load, 1, load_dist[j]) for j, load in enumerate(loads)],
         carried=la.carried,
         relax_order=relax_order,
     )

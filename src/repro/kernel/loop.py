@@ -2,14 +2,14 @@
 
 A :class:`LoopArrays` is built in one pass over the graph: operations in id
 order become indices ``0..n-1``; operands become the consumer adjacency and
-the flow-edge arrays simultaneously (the same traversal order as
+the per-op flow edges simultaneously (the same traversal order as
 ``DependenceGraph.flow_edges`` / ``DependenceGraph.consumers``, so anything
 materialized back to the dict world enumerates identically); explicit
 memory/ordering edges are appended after the flow edges, matching
 ``DependenceGraph.edges``.  A spill child of a
 :class:`~repro.kernel.batch.LoopChain` node is a delta on such arrays
-(``batch._spill_arrays``) and carries the per-op edge lists only; every
-reader goes through :meth:`LoopArrays.edges`.
+(``batch._spill_arrays``); every edge reader goes through
+:meth:`LoopArrays.edges`.
 
 Lowering is memoized per ``(graph, machine)`` and guarded by the graph's
 mutation counter: a graph rewritten in place (the loop builder binding a
@@ -54,24 +54,14 @@ class LoopArrays:
     #: Per op index: ``(consumer index, distance)`` per use, in the exact
     #: order ``DependenceGraph.consumers`` yields them.
     cons: list[list[tuple[int, int]]]
-    #: Per op index: incoming/outgoing ``(other, delay, distance)`` triples.
-    #: An out-list starts with one flow edge per entry of ``cons`` (same
-    #: order), followed by the op's explicit edges.
+    #: Per op index: incoming/outgoing ``(other, delay, distance)`` triples
+    #: (``delay`` the min issue-to-issue delay).  An out-list starts with
+    #: one flow edge per entry of ``cons`` (same order), followed by the
+    #: op's explicit edges in ``DependenceGraph.extra_edges`` order.
     in_edges: list[list[tuple[int, int, int]]]
     out_edges: list[list[tuple[int, int, int]]]
-    #: Explicit (non-flow) edges as ``(src, dst, delay, distance)``, in
-    #: ``DependenceGraph.extra_edges`` order.
-    extra: list[tuple[int, int, int, int]]
     #: Whether any edge has a positive distance (a loop-carried dependence).
     carried: bool
-    #: All dependence edges (flow first, then explicit) as parallel arrays
-    #: of (src index, dst index, min issue-to-issue delay, distance), in
-    #: ``DependenceGraph.edges`` order.  Set by the graph lowering only; a
-    #: spill child leaves them ``None``.
-    e_src: list[int] | None = None
-    e_dst: list[int] | None = None
-    e_delay: list[int] | None = None
-    e_dist: list[int] | None = None
     #: Op indices sinks-first (a reverse topological order of the
     #: distance-0 subgraph): the order :func:`repro.kernel.modulo.heights`
     #: relaxes out-edges in.  Derived on first use and kept for every II
@@ -81,22 +71,16 @@ class LoopArrays:
     )
 
     def edges(self) -> list[tuple[int, int, int, int]]:
-        """Every edge as ``(src, dst, delay, distance)``.
+        """Every edge as ``(src, dst, delay, distance)``, grouped by source.
 
-        In ``DependenceGraph.edges`` order when lowered from a graph;
-        grouped by source op on a spill child.  Readers (the MII search,
-        the sinks-first sort) are insensitive to edge order.
+        Readers (the MII search, the sinks-first sort) are insensitive to
+        edge order.
         """
-        if self.e_src is not None:
-            assert self.e_dst is not None and self.e_delay is not None
-            assert self.e_dist is not None
-            return list(zip(self.e_src, self.e_dst, self.e_delay, self.e_dist))
         return [
             (src, dst, delay, dist)
             for src, outs in enumerate(self.out_edges)
             for dst, delay, dist in outs
         ]
-
 
 def _build(graph: DependenceGraph, machine: MachineConfig) -> LoopArrays:
     ma = lower_machine(machine)
@@ -110,39 +94,24 @@ def _build(graph: DependenceGraph, machine: MachineConfig) -> LoopArrays:
     values = [i for i in range(n) if defines[i]]
 
     cons: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    e_src: list[int] = []
-    e_dst: list[int] = []
-    e_delay: list[int] = []
-    e_dist: list[int] = []
+    in_edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    out_edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    carried = False
     for j, op in enumerate(ops):
         for operand in op.operands:
             if isinstance(operand, ValueRef):
                 src = index[operand.producer]
-                cons[src].append((j, operand.distance))
-                e_src.append(src)
-                e_dst.append(j)
-                e_delay.append(latency[src])
-                e_dist.append(operand.distance)
-    extra = [
-        (
-            index[edge.src],
-            index[edge.dst],
-            edge.min_delay if edge.min_delay is not None else 1,
-            edge.distance,
-        )
-        for edge in graph.extra_edges()
-    ]
-    for src, dst, delay, dist in extra:
-        e_src.append(src)
-        e_dst.append(dst)
-        e_delay.append(delay)
-        e_dist.append(dist)
-
-    in_edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    out_edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for src, dst, delay, dist in zip(e_src, e_dst, e_delay, e_dist):
-        in_edges[dst].append((src, delay, dist))
-        out_edges[src].append((dst, delay, dist))
+                dist = operand.distance
+                cons[src].append((j, dist))
+                in_edges[j].append((src, latency[src], dist))
+                out_edges[src].append((j, latency[src], dist))
+                carried = carried or dist > 0
+    for edge in graph.extra_edges():
+        src, dst = index[edge.src], index[edge.dst]
+        delay = edge.min_delay if edge.min_delay is not None else 1
+        in_edges[dst].append((src, delay, edge.distance))
+        out_edges[src].append((dst, delay, edge.distance))
+        carried = carried or edge.distance > 0
 
     return LoopArrays(
         ma=ma,
@@ -156,12 +125,7 @@ def _build(graph: DependenceGraph, machine: MachineConfig) -> LoopArrays:
         cons=cons,
         in_edges=in_edges,
         out_edges=out_edges,
-        extra=extra,
-        carried=any(dist > 0 for dist in e_dist),
-        e_src=e_src,
-        e_dst=e_dst,
-        e_delay=e_delay,
-        e_dist=e_dist,
+        carried=carried,
     )
 
 

@@ -59,9 +59,15 @@ class TestLoopArrays:
             )
             for e in loop.graph.edges()
         ]
-        assert expected == list(
-            zip(la.e_src, la.e_dst, la.e_delay, la.e_dist)
-        )
+        # Grouped by source op, each op's edges in graph order (a stable
+        # sort keeps flow edges before explicit ones).
+        assert la.edges() == sorted(expected, key=lambda edge: edge[0])
+        for i in range(la.n):
+            assert la.in_edges[i] == [
+                (src, delay, dist)
+                for src, dst, delay, dist in expected
+                if dst == i
+            ]
 
     def test_consumer_adjacency_matches_consumers(self):
         loop = _sample_loop()

@@ -218,7 +218,8 @@ class TestRandomGraphs:
 class TestUnequalUnitCounts:
     """The IMS attempt's flat occupant table on a machine whose pools have
     different unit counts (the example machine: 2 adders, 2 multipliers,
-    4 memory ports), where full rows force displacements."""
+    4 memory ports): every cell is as wide as the widest pool, so each
+    placement and unschedule must index instance ``k`` of its own cell."""
 
     @given(high_pressure_graphs())
     @settings(max_examples=20, deadline=None)

@@ -20,10 +20,10 @@ REPORT = """\
 """
 
 
-def run(text: str, tmp_path, *args: str) -> int:
+def run(text: str, tmp_path) -> int:
     path = tmp_path / "pytest.log"
     path.write_text(text)
-    return check_durations.main([str(path), *args])
+    return check_durations.main([str(path)])
 
 
 class TestBudget:
@@ -34,10 +34,6 @@ class TestBudget:
     def test_a_slow_call_fails(self, tmp_path, capsys):
         assert run(REPORT.format(call=10.01), tmp_path) == 1
         assert "test_x.py::TestA::test_slow[4]" in capsys.readouterr().err
-
-    def test_budget_is_configurable(self, tmp_path):
-        report = REPORT.format(call=10.01)
-        assert run(report, tmp_path, "--max-seconds", "11") == 0
 
     def test_missing_durations_section_is_an_error(self, tmp_path):
         assert run("8 passed in 20.11s\n", tmp_path) == 2

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
 """Fail when any test call in a pytest ``--durations`` report is too slow.
 
-Reads pytest's terminal output (a file, or stdin when none is given),
-finds the ``slowest N durations`` section and exits non-zero if any
-``call`` phase there took longer than the budget (10 s by default, the
-tier-1 per-test budget)::
+Reads pytest's terminal output from a file, finds the ``slowest N
+durations`` section and exits non-zero if any ``call`` phase there took
+longer than :data:`MAX_SECONDS`, the tier-1 per-test budget::
 
-    python -m pytest -q --durations=15 | tee pytest.log
-    python tools/check_durations.py pytest.log
+    python -m pytest -q --durations=15 | tee pytest-durations.txt
+    python tools/check_durations.py pytest-durations.txt
 
 Setup and teardown phases are listed but not gated.  A report without a
 durations section is an error, so the gate cannot pass silently when the
@@ -16,19 +15,19 @@ flag goes missing.  Standard library only.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from typing import Iterable
+
+#: Budget per test call, in seconds.
+MAX_SECONDS = 10.0
 
 #: One line of the durations section: ``4.08s call     tests/x.py::test``.
 _LINE = re.compile(r"^\s*(\d+(?:\.\d+)?)s\s+(setup|call|teardown)\s+(\S.*?)\s*$")
 _HEADER = re.compile(r"=+ slowest (\d+ )?durations =+")
 
 
-def slow_calls(
-    lines: Iterable[str], max_seconds: float
-) -> tuple[bool, list[tuple[float, str]]]:
+def slow_calls(lines: Iterable[str]) -> tuple[bool, list[tuple[float, str]]]:
     """``(found a durations section, [(seconds, test id) over budget])``."""
     found = False
     slow = []
@@ -41,41 +40,30 @@ def slow_calls(
         match = _LINE.match(line)
         if match and match.group(2) == "call":
             seconds = float(match.group(1))
-            if seconds > max_seconds:
+            if seconds > MAX_SECONDS:
                 slow.append((seconds, match.group(3)))
     return found, slow
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "report", nargs="?", help="pytest output (default: stdin)"
-    )
-    parser.add_argument(
-        "--max-seconds",
-        type=float,
-        default=10.0,
-        help="budget per test call in seconds (default: 10)",
-    )
-    args = parser.parse_args(argv)
-    if args.report:
-        with open(args.report, encoding="utf-8") as handle:
-            found, slow = slow_calls(handle, args.max_seconds)
-    else:
-        found, slow = slow_calls(sys.stdin, args.max_seconds)
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: check_durations.py PYTEST_OUTPUT", file=sys.stderr)
+        return 2
+    with open(argv[0], encoding="utf-8") as handle:
+        found, slow = slow_calls(handle)
     if not found:
         print("no '--durations' section in the pytest output", file=sys.stderr)
         return 2
     for seconds, test in slow:
         print(
-            f"over the {args.max_seconds:g} s budget: {seconds:.2f}s {test}",
+            f"over the {MAX_SECONDS:g} s budget: {seconds:.2f}s {test}",
             file=sys.stderr,
         )
     if slow:
         return 1
-    print(f"every listed test call is within {args.max_seconds:g} s")
+    print(f"every listed test call is within {MAX_SECONDS:g} s")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
