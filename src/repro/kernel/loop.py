@@ -82,6 +82,7 @@ class LoopArrays:
             for dst, delay, dist in outs
         ]
 
+
 def _build(graph: DependenceGraph, machine: MachineConfig) -> LoopArrays:
     ma = lower_machine(machine)
     ops = graph.operations
