@@ -45,6 +45,7 @@ socket.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -537,6 +538,18 @@ class _Handler(BaseHTTPRequestHandler):
 # ----------------------------------------------------------------------
 # Single-process serving
 # ----------------------------------------------------------------------
+def _freeze_heap() -> None:
+    """Move the start-up heap out of the cyclic collector's reach.
+
+    Imports, registries and the session leave ~24k long-lived objects, and
+    every full collection under load would rescan them all, stalling the
+    request that triggered it.  Collect once, then freeze the survivors:
+    later collections scan only what requests allocate.
+    """
+    gc.collect()
+    gc.freeze()
+
+
 def _graceful_signals(server: "ReproServer") -> object | None:
     def _graceful(signum: int, frame: object) -> None:  # pragma: no cover
         threading.Thread(target=server.shutdown, daemon=True).start()
@@ -642,6 +655,7 @@ def _shard_main(
 
     signal.signal(signal.SIGTERM, _graceful)
     signal.signal(signal.SIGINT, _graceful)
+    _freeze_heap()
     server.heartbeat.beat(force=True)
     try:
         server.serve_forever()
@@ -785,6 +799,7 @@ def serve(config: ServeConfig) -> int:
             cache=ResultCache(directory=config.cache_dir),
         )
     )
+    _freeze_heap()  # before run_server writes the port file
     return run_server(
         session,
         host=config.host,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, ClassVar, Iterable, TypeVar
+from typing import Callable, ClassVar, Iterable, Iterator, TypeVar
 
 T = TypeVar("T", bound="WireMessage")
 
@@ -43,7 +43,7 @@ from repro.machine.config import (
 from repro.pipeline.pipelines import PRESSURE_STRATEGIES
 from repro.pipeline.policies import get_escalation, get_policy
 from repro.workloads.kernels import example_loop, kernel_names, make_kernel
-from repro.workloads.suite import DEFAULT_SEED, perfect_club_like
+from repro.workloads.suite import DEFAULT_SEED, suite_loop
 
 #: Version of the wire schema; see the module docstring for the bump policy.
 API_SCHEMA_VERSION = 1
@@ -126,12 +126,18 @@ def _choice(value: str, known: Iterable[str], what: str) -> None:
 # ----------------------------------------------------------------------
 # Serialization base
 # ----------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names in declaration order, derived once."""
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _encode(value: object) -> object:
     """Recursively lower a wire value to JSON-safe types."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
-            f.name: _encode(getattr(value, f.name))
-            for f in dataclasses.fields(value)
+            name: _encode(getattr(value, name))
+            for name in _field_names(type(value))
         }
     if isinstance(value, (tuple, list)):
         return [_encode(item) for item in value]
@@ -175,8 +181,8 @@ class WireMessage:
                 f"unsupported schema version {version!r} "
                 f"(this build speaks {API_SCHEMA_VERSION})"
             )
-        names = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - names
+        names = _field_names(cls)
+        unknown = set(data).difference(names)
         if unknown:
             raise RequestValidationError(
                 f"{cls.KIND}: unknown field(s) {sorted(unknown)}"
@@ -212,10 +218,39 @@ def _rows(values: Iterable[Iterable[object]]) -> tuple[tuple, ...]:
 # ----------------------------------------------------------------------
 # Loop / machine specs
 # ----------------------------------------------------------------------
+class _LazySuite:
+    """``perfect_club_like(n_loops, seed)``, each loop built on first use.
+
+    Indexing builds only the loop asked for (:func:`suite_loop`), so a
+    request naming one loop of a 10,000-loop suite costs one loop, not the
+    suite; iterating builds them all, in suite order.
+    """
+
+    def __init__(self, n_loops: int, seed: int) -> None:
+        self._n_loops = n_loops
+        self._seed = seed
+        self._loops: dict[int, Loop] = {}
+
+    def __len__(self) -> int:
+        return self._n_loops
+
+    def __getitem__(self, index: int) -> Loop:
+        if not 0 <= index < self._n_loops:
+            raise IndexError(index)
+        loop = self._loops.get(index)
+        if loop is None:
+            # Racing resolvers build equal loops; all of them share one.
+            loop = self._loops.setdefault(index, suite_loop(index, self._seed))
+        return loop
+
+    def __iter__(self) -> Iterator[Loop]:
+        return (self[index] for index in range(self._n_loops))
+
+
 @lru_cache(maxsize=8)
-def _suite_loops(n_loops: int, seed: int) -> tuple[Loop, ...]:
-    """Materialized synthetic suites, shared across spec resolutions."""
-    return tuple(perfect_club_like(n_loops, seed=seed))
+def _suite_loops(n_loops: int, seed: int) -> _LazySuite:
+    """Synthetic suites, shared across spec resolutions, filled lazily."""
+    return _LazySuite(n_loops, seed)
 
 
 @dataclass(frozen=True)
@@ -289,13 +324,25 @@ class MachineSpec(WireMessage):
         _check(self.clusters >= 1, "clusters must be >= 1")
 
     def resolve(self) -> MachineConfig:
-        if self.kind == "paper":
-            return paper_config(self.latency)
-        if self.kind == "pxly":
-            return pxly(self.ports, self.latency)
-        if self.kind == "clustered":
-            return clustered_config(self.clusters, self.latency)
-        return example_config()
+        """The named configuration, one shared object per distinct spec.
+
+        Fingerprints and lowered machine tables are weakly memoized per
+        config object, so handing every request for one machine the same
+        long-lived object makes those memos hit instead of rebuilding them
+        per request.
+        """
+        return _machine_config(self)
+
+
+@lru_cache(maxsize=64)
+def _machine_config(spec: MachineSpec) -> MachineConfig:
+    if spec.kind == "paper":
+        return paper_config(spec.latency)
+    if spec.kind == "pxly":
+        return pxly(spec.ports, spec.latency)
+    if spec.kind == "clustered":
+        return clustered_config(spec.clusters, spec.latency)
+    return example_config()
 
 
 # ----------------------------------------------------------------------

@@ -24,10 +24,12 @@ aggregate, and round-trips through JSON for the on-disk cache.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
@@ -53,6 +55,11 @@ ENGINE_SCHEMA_VERSION = 2
 
 PRESSURE = "pressure"
 EVALUATE = "evaluate"
+
+#: Bound on the chains an :func:`execute_batch` memo keeps.  A serve round
+#: of 72 loops fits with room to spare; its chains hold ~2 MiB, and the
+#: heaviest grid chain ~1.3 MiB.
+CHAIN_MEMO_SIZE = 128
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +326,11 @@ def execute_job(job: EvalJob) -> JobResult:
     )
 
 
-def batch_key(job: EvalJob) -> tuple[str, str, str, str, str]:
+#: Graph and machine fingerprints plus the victim/strategy/escalation knobs.
+BatchKey = tuple[str, str, str, str, str]
+
+
+def batch_key(job: EvalJob) -> BatchKey:
     """Grouping key of the batch planner: jobs sharing it share a chain.
 
     These are the same content fingerprints that key the pipeline's
@@ -338,6 +349,28 @@ def batch_key(job: EvalJob) -> tuple[str, str, str, str, str]:
     )
 
 
+#: The chain memo :func:`execute_batch` walks in the current context:
+#: :meth:`repro.engine.pool.Engine.map` lends its engine's memo for the
+#: duration of one call (:func:`lent_chains`).  Everywhere else -- pool
+#: workers, a bare ``run_jobs`` -- it is ``None``, and every group builds
+#: a fresh chain.  A context variable rather than a parameter, because
+#: ``execute_batch(jobs)`` is a one-argument seam that ``perfbench``
+#: wraps and fault-injects.
+_lent_chains: ContextVar[dict[BatchKey, kbatch.LoopChain] | None] = (
+    ContextVar("lent_chains", default=None)
+)
+
+
+@contextmanager
+def lent_chains(chains: dict[BatchKey, kbatch.LoopChain]) -> Iterator[None]:
+    """Let :func:`execute_batch` calls in this context walk ``chains``."""
+    token = _lent_chains.set(chains)
+    try:
+        yield
+    finally:
+        _lent_chains.reset(token)
+
+
 def execute_batch(jobs: Sequence[EvalJob]) -> list[JobResult]:
     """Execute one :func:`batch_key` group against one shared chain.
 
@@ -347,17 +380,30 @@ def execute_batch(jobs: Sequence[EvalJob]) -> list[JobResult]:
     victim policy has no array implementation (custom registered policies
     interrogate ``Schedule`` dataclasses) fall back to per-job execution
     on the pass pipeline, bit-identical by construction.
+
+    Inside :func:`lent_chains`, the group walks the lent memo's chain for
+    its :func:`batch_key` if there is one, so a loop's later groups reuse
+    the nodes its earlier ones computed.  The memo is kept in
+    least-recently-used-first order and bounded by ``CHAIN_MEMO_SIZE``.
+    A chain leaves the memo while it is walked and returns only when the
+    walk finished, so a walk that raises evicts it.
     """
     first = jobs[0]
     if not kbatch.supports(first.victim_policy, first.pressure_strategy):
         return [execute_job(job) for job in jobs]
-    chain = kbatch.LoopChain(
-        first.loop.graph,
-        first.machine,
-        victim_policy=first.victim_policy,
-        pressure_strategy=first.pressure_strategy,
-        ii_escalation=first.ii_escalation,
-    )
+    chain = None
+    chains = _lent_chains.get()
+    if chains is not None:
+        key = batch_key(first)
+        chain = chains.pop(key, None)
+    if chain is None:
+        chain = kbatch.LoopChain(
+            first.loop.graph,
+            first.machine,
+            victim_policy=first.victim_policy,
+            pressure_strategy=first.pressure_strategy,
+            ii_escalation=first.ii_escalation,
+        )
     results: list[JobResult] = []
     for job in jobs:
         if job.kind == PRESSURE:
@@ -396,12 +442,16 @@ def execute_batch(jobs: Sequence[EvalJob]) -> list[JobResult]:
                     registers_required=evaluation.registers,
                 )
             )
+    if chains is not None:
+        chains[key] = chain  # most recently used last
+        while len(chains) > CHAIN_MEMO_SIZE:
+            del chains[next(iter(chains))]
     return results
 
 
 def result_to_dict(result: JobResult) -> dict:
     """JSON-serializable form for the on-disk cache."""
-    data = asdict(result)
+    data = dict(vars(result))  # flat: every field is a scalar
     data["kind"] = PRESSURE if isinstance(result, PressureResult) else EVALUATE
     return data
 
@@ -418,6 +468,8 @@ def result_from_dict(data: dict) -> JobResult:
 
 
 __all__ = [
+    "BatchKey",
+    "CHAIN_MEMO_SIZE",
     "ENGINE_SCHEMA_VERSION",
     "EVALUATE",
     "EvalJob",
@@ -430,6 +482,7 @@ __all__ = [
     "execute_batch",
     "execute_job",
     "graph_fingerprint",
+    "lent_chains",
     "loop_fingerprint",
     "machine_fingerprint",
     "pressure_job",

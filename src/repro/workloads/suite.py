@@ -13,8 +13,12 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.ir.loop import Loop
-from repro.workloads.kernels import all_kernels
-from repro.workloads.synthetic import SyntheticConfig, generate_suite
+from repro.workloads.kernels import all_kernels, kernel_names, make_kernel
+from repro.workloads.synthetic import (
+    SyntheticConfig,
+    generate_loop,
+    generate_suite,
+)
 
 #: Default size of the full experimental suite ("almost 800 loops").
 DEFAULT_SUITE_SIZE = 800
@@ -80,6 +84,20 @@ def perfect_club_like(
     return Suite(name, tuple(loops[:n_loops]), seed=seed)
 
 
+def suite_loop(index: int, seed: int = DEFAULT_SEED) -> Loop:
+    """Loop ``index`` of ``perfect_club_like(n, seed)``, for any ``n > index``.
+
+    Builds that one loop only: the ``index``-th kernel by
+    :func:`~repro.workloads.kernels.kernel_names` order, else synthetic loop
+    ``index - len(kernel_names())`` of the seeded family -- each synthetic
+    loop is seeded by its own index, so it needs none of its predecessors.
+    """
+    names = kernel_names()
+    if index < len(names):
+        return make_kernel(names[index])
+    return generate_loop(index - len(names), seed=seed)
+
+
 def quick_suite(n_loops: int = 80, seed: int = DEFAULT_SEED) -> Suite:
     """A small but representative suite for tests and fast benchmarks."""
     return perfect_club_like(n_loops=n_loops, seed=seed)
@@ -91,4 +109,5 @@ __all__ = [
     "Suite",
     "perfect_club_like",
     "quick_suite",
+    "suite_loop",
 ]

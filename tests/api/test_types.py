@@ -16,8 +16,10 @@ from repro.api import types as T
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.engine.sweep import NAMED_SWEEPS
+from repro.pipeline.fingerprint import loop_fingerprint
 from repro.pipeline.policies import II_ESCALATIONS, SPILL_POLICIES
 from repro.workloads.kernels import kernel_names
+from repro.workloads.suite import DEFAULT_SEED, perfect_club_like
 
 MODELS = [m.value for m in Model]
 ESTIMATORS = [e.value for e in SwapEstimator]
@@ -350,3 +352,72 @@ class TestSpecResolution:
     def test_machine_specs_resolve_to_expected_names(self):
         assert T.MachineSpec(kind="paper", latency=6).resolve().name
         assert T.MachineSpec(kind="pxly", ports=2, latency=3).resolve().name
+
+    def test_one_machine_spec_resolves_to_one_object(self):
+        spec = T.MachineSpec(kind="paper", latency=6)
+        assert spec.resolve() is spec.resolve()
+        decoded = T.MachineSpec.from_dict(json.loads(json.dumps(
+            spec.to_dict()
+        )))
+        assert decoded.resolve() is spec.resolve()
+
+
+class TestSuiteResolution:
+    """A suite spec builds its one loop, identical to the full suite's."""
+
+    @pytest.mark.parametrize("seed", [1, 7, DEFAULT_SEED])
+    @pytest.mark.parametrize("n_loops", [10, 49, 60, 226])
+    def test_every_index_equals_the_materialized_suite(self, n_loops, seed):
+        T._suite_loops.cache_clear()
+        for index, expected in enumerate(perfect_club_like(n_loops, seed)):
+            loop = T.LoopSpec(
+                kind="suite", n_loops=n_loops, seed=seed, index=index
+            ).resolve()
+            assert (
+                loop.name,
+                loop.trip_count,
+                loop.source,
+                loop_fingerprint(loop),
+            ) == (
+                expected.name,
+                expected.trip_count,
+                expected.source,
+                loop_fingerprint(expected),
+            ), index
+
+    def test_last_loop_of_a_huge_suite_generates_one_loop(self, monkeypatch):
+        from repro.workloads import suite
+
+        calls = []
+        original = suite.generate_loop
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(suite, "generate_loop", counting)
+        T._suite_loops.cache_clear()
+        spec = T.LoopSpec(
+            kind="suite", n_loops=T.MAX_SUITE_LOOPS, seed=11,
+            index=T.MAX_SUITE_LOOPS - 1,
+        )
+        loop = spec.resolve()
+        assert len(calls) == 1
+        synthetic = T.MAX_SUITE_LOOPS - 1 - len(kernel_names())
+        assert loop.name == f"synthetic-{synthetic:04d}"
+
+    def test_cache_clear_gives_fresh_loop_objects(self):
+        spec = T.LoopSpec(kind="suite", n_loops=60, seed=7, index=55)
+        first = spec.resolve()
+        assert spec.resolve() is first
+        T._suite_loops.cache_clear()
+        fresh = spec.resolve()
+        assert fresh is not first
+        assert loop_fingerprint(fresh) == loop_fingerprint(first)
+
+    def test_iterating_builds_the_whole_suite_in_order(self):
+        T._suite_loops.cache_clear()
+        loops = list(T._suite_loops(60, 7))
+        assert [loop.name for loop in loops] == [
+            loop.name for loop in perfect_club_like(60, 7)
+        ]

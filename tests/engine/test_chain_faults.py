@@ -10,6 +10,8 @@ golden result.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import EvaluateRequest, LoopSpec, Session
@@ -98,14 +100,23 @@ class TestSession:
             model="unified",
             register_budget=8,
         )
+        # The Ideal point never spills: it puts the loop's chain in the
+        # session's chain memo before the faulted walk reuses it.
+        ideal = replace(request, model="ideal", register_budget=None)
         with Session() as session:
+            chains = session.engine.chains
+            session.evaluate(ideal)
+            assert [chain.name for chain in chains.values()] == [faulty]
+            stores = session.engine.cache.stats.stores
             with monkeypatch.context() as patch:
                 _faulty_spill_child(patch, {faulty})
                 with pytest.raises(ChainFault):
                     session.evaluate(request)
-            assert session.engine.cache.stats.stores == 0
+            assert session.engine.cache.stats.stores == stores
+            assert not chains  # the faulted chain left the memo
             response = session.evaluate(request)
             assert not response.cached
+            assert [chain.name for chain in chains.values()] == [faulty]
             again = session.evaluate(request)
             assert again.cached
         with Session() as clean:

@@ -151,3 +151,61 @@ class TestChunkedDispatch:
         )
         assert seen[-1] == (len(jobs), len(jobs))
         assert [done for done, _ in seen] == list(range(1, len(jobs) + 1))
+
+
+class TestChainMemo:
+    """``Engine`` keeps chains across maps; ``run_jobs`` alone never does."""
+
+    @staticmethod
+    def _count_chains(monkeypatch) -> list[int]:
+        from repro.kernel import batch as kbatch
+
+        built = [0]
+        original = kbatch.LoopChain
+
+        class CountingChain(original):
+            def __init__(self, *args, **kwargs):
+                built[0] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(kbatch, "LoopChain", CountingChain)
+        return built
+
+    def test_run_jobs_builds_one_chain_per_call(
+        self, loops, machine, monkeypatch
+    ):
+        jobs = [
+            evaluate_job(loops[0], machine, model, 16)
+            for model in (Model.UNIFIED, Model.SWAPPED)
+        ]
+        built = self._count_chains(monkeypatch)
+        first = run_jobs(jobs, workers=0, cache=None)
+        assert run_jobs(jobs, workers=0, cache=None) == first
+        assert built[0] == 2
+
+    def test_engine_reuses_a_loops_chain_across_maps(
+        self, loops, machine, monkeypatch
+    ):
+        built = self._count_chains(monkeypatch)
+        engine = Engine(workers=0, cache=None)
+        for model in (Model.UNIFIED, Model.PARTITIONED, Model.SWAPPED):
+            engine.map([evaluate_job(loops[0], machine, model, 16)])
+        assert built[0] == 1
+        assert len(engine.chains) == 1
+
+    def test_memo_holds_exactly_the_bound(self, machine):
+        from repro.engine.jobs import CHAIN_MEMO_SIZE, batch_key
+        from repro.workloads.suite import perfect_club_like
+
+        jobs: dict = {}
+        for loop in perfect_club_like(2 * CHAIN_MEMO_SIZE):
+            job = evaluate_job(loop, machine, Model.IDEAL, None)
+            jobs.setdefault(batch_key(job), job)
+        keys = list(jobs)
+        assert len(keys) > CHAIN_MEMO_SIZE + 1
+        engine = Engine(workers=0, cache=None)
+        for key in keys[: CHAIN_MEMO_SIZE + 2]:
+            engine.map([jobs[key]])
+        assert len(engine.chains) == CHAIN_MEMO_SIZE
+        # Least recently used leave first.
+        assert list(engine.chains) == keys[2: CHAIN_MEMO_SIZE + 2]
