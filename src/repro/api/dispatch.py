@@ -222,9 +222,7 @@ class BatchDispatcher:
             flags: list[bool] = []
             try:
                 with self.session._lock:
-                    results = self.session.engine.map(
-                        jobs, cached_flags=flags
-                    )
+                    results = self.session._map_points(jobs, flags)
                     self.session.requests_served += len(jobs)
             except BaseException as exc:  # noqa: BLE001 - fan the fault out
                 for _job, future in batch:

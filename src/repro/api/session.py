@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
+    from repro.kernel.batch import LoopChain
     from repro.machine.config import MachineConfig
 
 from repro.api.registry import get_experiment
@@ -57,7 +58,14 @@ from repro.api.types import (
 )
 from repro.core.swapping import SwapEstimator
 from repro.engine.cache import ResultCache
-from repro.engine.jobs import EvalJob, JobResult, evaluate_job, pressure_job
+from repro.engine.jobs import (
+    BatchKey,
+    EvalJob,
+    JobResult,
+    evaluate_job,
+    lent_chains,
+    pressure_job,
+)
 from repro.engine.pool import Engine
 from repro.engine.sweep import (
     SweepOutcome,
@@ -112,6 +120,13 @@ class Session:
         #: coalesced with concurrent ones into one engine batch instead
         #: of mapping jobs one at a time under the lock.
         self.dispatcher = None
+        #: The :class:`~repro.kernel.batch.LoopChain` of each loop group a
+        #: point request evaluated (at most ``CHAIN_MEMO_SIZE``, least
+        #: recently used evicted first), so a loop's later requests walk
+        #: nodes an earlier one computed.  Only :meth:`_map_points` lends
+        #: it, under the session lock; sweeps, experiments and reports map
+        #: without it.
+        self.chains: dict[BatchKey, LoopChain] = {}
         # Fail on a bad session default now, not on the first request.
         EvalJob(
             kind="pressure",
@@ -157,9 +172,19 @@ class Session:
             return self.dispatcher.submit(job)
         flags: list[bool] = []
         with self._lock:
-            result = self.engine.map([job], cached_flags=flags)[0]
+            result = self._map_points([job], flags)[0]
             self.requests_served += 1
         return result, flags[0]
+
+    def _map_points(
+        self, jobs: list[EvalJob], flags: list[bool]
+    ) -> list[JobResult]:
+        """``engine.map`` of request points, walking :attr:`chains`.
+
+        The caller holds the session lock: the memo is not thread-safe.
+        """
+        with lent_chains(self.chains):
+            return self.engine.map(jobs, cached_flags=flags)
 
     def stats(self) -> dict:
         """Live session counters (the serve front-end's health payload).

@@ -145,8 +145,6 @@ class ResultCache:
     max_memory_entries: int = DEFAULT_MEMORY_ENTRIES
     stats: CacheStats = field(default_factory=CacheStats)
     _memory: OrderedDict[str, JobResult] = field(default_factory=OrderedDict)
-    #: Shard directories this instance has created (or found) already.
-    _shards: set[Path] = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Directory creation is deferred to the first put(): read-only uses
@@ -226,7 +224,10 @@ class ResultCache:
         tmp = None
         try:
             path = self._path(key)
-            fd, tmp = self._temp_file(path.parent)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=".tmp-", suffix=".json"
+            )
             with os.fdopen(fd, "w") as handle:
                 handle.write(payload)
             os.replace(tmp, path)
@@ -237,23 +238,6 @@ class ResultCache:
                     Path(tmp).unlink(missing_ok=True)
                 except OSError:  # pragma: no cover - doubly broken dir
                     pass
-
-    def _temp_file(self, shard: Path) -> tuple[int, str]:
-        """A fresh temp file in ``shard``; the directory is made once.
-
-        Writes create each shard directory on their first visit only.  If
-        another process removed it since (``rm -rf`` of the cache), the
-        temp file cannot be created: make the directory again and retry
-        once.
-        """
-        if shard not in self._shards:
-            shard.mkdir(parents=True, exist_ok=True)
-            self._shards.add(shard)
-        try:
-            return tempfile.mkstemp(dir=shard, prefix=".tmp-", suffix=".json")
-        except FileNotFoundError:
-            shard.mkdir(parents=True, exist_ok=True)
-            return tempfile.mkstemp(dir=shard, prefix=".tmp-", suffix=".json")
 
     # ------------------------------------------------------------------
     def _disk_files(self) -> list[Path]:

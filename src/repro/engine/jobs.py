@@ -350,8 +350,9 @@ def batch_key(job: EvalJob) -> BatchKey:
 
 
 #: The chain memo :func:`execute_batch` walks in the current context:
-#: :meth:`repro.engine.pool.Engine.map` lends its engine's memo for the
-#: duration of one call (:func:`lent_chains`).  Everywhere else -- pool
+#: a :class:`repro.api.session.Session` lends its memo around the
+#: ``Engine.map`` of its point requests (:func:`lent_chains`).  Everywhere
+#: else -- ``Engine.map`` of sweeps, experiments and reports, pool
 #: workers, a bare ``run_jobs`` -- it is ``None``, and every group builds
 #: a fresh chain.  A context variable rather than a parameter, because
 #: ``execute_batch(jobs)`` is a one-argument seam that ``perfbench``

@@ -27,7 +27,6 @@ from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import (
-    BatchKey,
     EvalJob,
     EvalResult,
     JobResult,
@@ -35,11 +34,9 @@ from repro.engine.jobs import (
     batch_key,
     evaluate_job,
     execute_batch,
-    lent_chains,
     pressure_job,
 )
 from repro.ir.loop import Loop
-from repro.kernel.batch import LoopChain
 from repro.machine.config import MachineConfig
 
 #: Callback signature: ``progress(done, total)`` after every finished job.
@@ -254,13 +251,6 @@ class Engine:
     import under the spawn start method) per call would swamp them.  Call
     :meth:`close` (or use the engine as a context manager) to release the
     workers early; they die with the parent process regardless.
-
-    ``chains`` memoizes the :class:`~repro.kernel.batch.LoopChain` of each
-    loop group the serial path evaluated (at most ``CHAIN_MEMO_SIZE``,
-    least recently used evicted first), so a loop's later cache misses --
-    one serve request per point -- walk nodes an earlier call computed.
-    A chain whose walk raised is dropped.  The memo is not thread-safe:
-    concurrent callers serialize :meth:`map` (the session lock does).
     """
 
     workers: int | None = None
@@ -270,9 +260,6 @@ class Engine:
     #: passed to :meth:`map` takes precedence for that call.
     on_result: ResultFn | None = None
     jobs_run: int = field(default=0, init=False)
-    chains: dict[BatchKey, LoopChain] = field(
-        default_factory=dict, init=False, repr=False
-    )
     _pool: "multiprocessing.pool.Pool | None" = field(
         default=None, init=False, repr=False
     )
@@ -320,18 +307,15 @@ class Engine:
         :func:`run_jobs` (per-position cache provenance, per-result hook).
         """
         self.jobs_run += len(jobs)
-        with lent_chains(self.chains):
-            return run_jobs(
-                jobs,
-                workers=self.workers,
-                cache=self.cache,
-                progress=self.progress,
-                pool_factory=self._shared_pool,
-                cached_flags=cached_flags,
-                on_result=(
-                    on_result if on_result is not None else self.on_result
-                ),
-            )
+        return run_jobs(
+            jobs,
+            workers=self.workers,
+            cache=self.cache,
+            progress=self.progress,
+            pool_factory=self._shared_pool,
+            cached_flags=cached_flags,
+            on_result=on_result if on_result is not None else self.on_result,
+        )
 
     # ------------------------------------------------------------------
     # Driver-facing conveniences

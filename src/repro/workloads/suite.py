@@ -13,12 +13,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.ir.loop import Loop
-from repro.workloads.kernels import all_kernels, kernel_names, make_kernel
-from repro.workloads.synthetic import (
-    SyntheticConfig,
-    generate_loop,
-    generate_suite,
-)
+from repro.workloads.kernels import kernel_names, make_kernel
+from repro.workloads.synthetic import SyntheticConfig, generate_loop
 
 #: Default size of the full experimental suite ("almost 800 loops").
 DEFAULT_SUITE_SIZE = 800
@@ -71,31 +67,35 @@ def perfect_club_like(
     first (when requested) and the remainder is synthetic, generated
     deterministically from ``seed`` -- same seed, same loops, in any
     process, which is what makes engine sweep jobs reproducible and
-    cacheable across runs.
+    cacheable across runs.  Loop ``i`` is :func:`suite_loop` ``(i, ...)``.
     """
-    loops: list[Loop] = []
-    if include_kernels:
-        loops.extend(all_kernels())
-    remaining = max(0, n_loops - len(loops))
-    loops.extend(generate_suite(remaining, seed=seed, config=config))
+    loops = tuple(
+        suite_loop(index, seed, include_kernels=include_kernels, config=config)
+        for index in range(n_loops)
+    )
     name = f"perfect-club-like-{n_loops}"
     if seed != DEFAULT_SEED:
         name += f"-s{seed}"
-    return Suite(name, tuple(loops[:n_loops]), seed=seed)
+    return Suite(name, loops, seed=seed)
 
 
-def suite_loop(index: int, seed: int = DEFAULT_SEED) -> Loop:
-    """Loop ``index`` of ``perfect_club_like(n, seed)``, for any ``n > index``.
+def suite_loop(
+    index: int,
+    seed: int = DEFAULT_SEED,
+    include_kernels: bool = True,
+    config: SyntheticConfig | None = None,
+) -> Loop:
+    """Loop ``index`` of :func:`perfect_club_like`, for any ``n_loops > index``.
 
     Builds that one loop only: the ``index``-th kernel by
     :func:`~repro.workloads.kernels.kernel_names` order, else synthetic loop
-    ``index - len(kernel_names())`` of the seeded family -- each synthetic
-    loop is seeded by its own index, so it needs none of its predecessors.
+    ``index - n_kernels`` of the seeded family -- each synthetic loop is
+    seeded by its own index, so it needs none of its predecessors.
     """
-    names = kernel_names()
+    names = kernel_names() if include_kernels else []
     if index < len(names):
         return make_kernel(names[index])
-    return generate_loop(index - len(names), seed=seed)
+    return generate_loop(index - len(names), seed=seed, config=config)
 
 
 def quick_suite(n_loops: int = 80, seed: int = DEFAULT_SEED) -> Suite:

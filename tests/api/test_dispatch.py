@@ -159,6 +159,28 @@ class TestBatchDispatcher:
         session.close()  # must close the dispatcher too
         assert session.dispatcher is None
 
+    def test_batches_walk_the_session_chain_memo(self, session):
+        from repro.core.models import Model
+        from repro.engine.jobs import evaluate_job
+        from repro.engine.pool import run_jobs
+
+        dispatcher = BatchDispatcher(session)
+        try:
+            loop = make_kernel("hydro_fragment")
+            jobs = [
+                evaluate_job(loop, paper_config(6), model, 16)
+                for model in (Model.UNIFIED, Model.SWAPPED)
+            ]
+            first, _cached = dispatcher.submit(jobs[0])
+            (chain,) = session.chains.values()
+            second, cached = dispatcher.submit(jobs[1])
+            assert not cached
+            (again,) = session.chains.values()
+            assert again is chain  # the second batch walked the same chain
+            assert [first, second] == run_jobs(jobs, workers=0)
+        finally:
+            dispatcher.close()
+
     def test_engine_failure_reaches_every_submitter(self, session):
         dispatcher = BatchDispatcher(session)
         try:

@@ -86,6 +86,35 @@ class TestNumbersMatchTheCore:
         assert len(response.headers) == len(response.rows[0])
 
 
+class TestChainMemo:
+    """Point requests share a loop's chain; sweeps keep none."""
+
+    def test_one_loops_points_walk_one_chain(self, session, monkeypatch):
+        from repro.kernel import batch as kbatch
+
+        built = []
+        original = kbatch.LoopChain
+
+        class CountingChain(original):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(kbatch, "LoopChain", CountingChain)
+        for model in ("unified", "partitioned", "swapped"):
+            session.evaluate(
+                EvaluateRequest(loop=HYDRO, model=model, register_budget=16)
+            )
+        assert len(built) == 1
+        assert [chain.name for chain in session.chains.values()] == [
+            "hydro_fragment"
+        ]
+
+    def test_sweeps_leave_the_memo_empty(self, session):
+        session.sweep(SweepRequest(name="rf-size", n_loops=3))
+        assert session.chains == {}
+
+
 class TestSessionDefaults:
     def test_default_machine_fills_none(self):
         with Session(machine=MachineSpec(kind="paper", latency=6)) as s:

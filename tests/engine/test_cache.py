@@ -61,49 +61,6 @@ class TestHitMiss:
         assert cache.entry_count() == 0
 
 
-class TestShardDirectories:
-    def test_each_shard_directory_is_made_once(
-        self, cache, machine, monkeypatch
-    ):
-        from pathlib import Path
-
-        cache.directory.mkdir()
-        made = []
-        original = Path.mkdir
-
-        def mkdir(self, *args, **kwargs):
-            made.append(self)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "mkdir", mkdir)
-        loop = make_kernel("daxpy")
-        jobs = [
-            evaluate_job(loop, machine, model, budget)
-            for model in Model
-            for budget in (8, 16, 24, 32)
-        ]
-        for job in jobs:
-            cache.put(job, execute_job(job))
-            cache.put(job, execute_job(job))
-        assert sorted(made) == sorted(
-            {cache._path(job.key).parent for job in jobs}
-        )
-        assert cache.entry_count() == len(jobs)
-
-    def test_put_recreates_a_directory_removed_by_another_process(
-        self, tmp_path, job
-    ):
-        import shutil
-
-        result = execute_job(job)
-        writer = ResultCache(directory=tmp_path / "c")
-        writer.put(job, result)
-        shutil.rmtree(tmp_path / "c")  # e.g. ``rm -rf`` of the cache
-        writer.put(job, result)
-        assert ResultCache(directory=tmp_path / "c").get(job) == result
-        assert writer.stats.stores == 2
-
-
 class TestCorruption:
     def _entry_path(self, cache, job):
         paths = list(cache.directory.glob("*/*.json"))

@@ -104,7 +104,7 @@ class TestSession:
         # session's chain memo before the faulted walk reuses it.
         ideal = replace(request, model="ideal", register_budget=None)
         with Session() as session:
-            chains = session.engine.chains
+            chains = session.chains
             session.evaluate(ideal)
             assert [chain.name for chain in chains.values()] == [faulty]
             stores = session.engine.cache.stats.stores

@@ -154,7 +154,12 @@ class TestChunkedDispatch:
 
 
 class TestChainMemo:
-    """``Engine`` keeps chains across maps; ``run_jobs`` alone never does."""
+    """``execute_batch`` keeps chains only in a lent memo.
+
+    A session lends its memo around its point requests
+    (``Session._map_points``); ``run_jobs`` and ``Engine.map`` alone keep
+    nothing between calls.
+    """
 
     @staticmethod
     def _count_chains(monkeypatch) -> list[int]:
@@ -183,18 +188,35 @@ class TestChainMemo:
         assert run_jobs(jobs, workers=0, cache=None) == first
         assert built[0] == 2
 
-    def test_engine_reuses_a_loops_chain_across_maps(
-        self, loops, machine, monkeypatch
-    ):
+    def test_engine_map_keeps_no_chain(self, loops, machine, monkeypatch):
         built = self._count_chains(monkeypatch)
         engine = Engine(workers=0, cache=None)
         for model in (Model.UNIFIED, Model.PARTITIONED, Model.SWAPPED):
             engine.map([evaluate_job(loops[0], machine, model, 16)])
+        assert built[0] == 3
+
+    def test_lent_memo_reuses_a_loops_chain_across_calls(
+        self, loops, machine, monkeypatch
+    ):
+        from repro.engine.jobs import lent_chains
+
+        built = self._count_chains(monkeypatch)
+        chains: dict = {}
+        with lent_chains(chains):
+            for model in (Model.UNIFIED, Model.PARTITIONED, Model.SWAPPED):
+                run_jobs(
+                    [evaluate_job(loops[0], machine, model, 16)],
+                    workers=0,
+                    cache=None,
+                )
         assert built[0] == 1
-        assert len(engine.chains) == 1
+        assert len(chains) == 1
+        run_jobs([evaluate_job(loops[0], machine, Model.IDEAL, None)],
+                 workers=0, cache=None)
+        assert built[0] == 2  # outside the context the memo is not lent
 
     def test_memo_holds_exactly_the_bound(self, machine):
-        from repro.engine.jobs import CHAIN_MEMO_SIZE, batch_key
+        from repro.engine.jobs import CHAIN_MEMO_SIZE, batch_key, lent_chains
         from repro.workloads.suite import perfect_club_like
 
         jobs: dict = {}
@@ -203,9 +225,10 @@ class TestChainMemo:
             jobs.setdefault(batch_key(job), job)
         keys = list(jobs)
         assert len(keys) > CHAIN_MEMO_SIZE + 1
-        engine = Engine(workers=0, cache=None)
-        for key in keys[: CHAIN_MEMO_SIZE + 2]:
-            engine.map([jobs[key]])
-        assert len(engine.chains) == CHAIN_MEMO_SIZE
+        chains: dict = {}
+        with lent_chains(chains):
+            for key in keys[: CHAIN_MEMO_SIZE + 2]:
+                run_jobs([jobs[key]], workers=0, cache=None)
+        assert len(chains) == CHAIN_MEMO_SIZE
         # Least recently used leave first.
-        assert list(engine.chains) == keys[2: CHAIN_MEMO_SIZE + 2]
+        assert list(chains) == keys[2: CHAIN_MEMO_SIZE + 2]

@@ -1,9 +1,10 @@
-"""The engine's chain memo: a stream of single points == one batch.
+"""The chain memo: a stream of single points == one batch.
 
-:class:`repro.engine.pool.Engine` keeps each loop group's
-:class:`~repro.kernel.batch.LoopChain` across :meth:`Engine.map` calls, so
-the serve front-end's one-point requests walk nodes earlier requests
-computed.  A chain is a deterministic state machine, so the order in which
+Inside :func:`repro.engine.jobs.lent_chains` -- which a
+:class:`repro.api.session.Session` wraps around its point requests --
+``execute_batch`` keeps each loop group's
+:class:`~repro.kernel.batch.LoopChain` across calls, so the serve
+front-end's one-point requests walk nodes earlier requests computed.  A chain is a deterministic state machine, so the order in which
 points walk it must not show: a shuffled stream of single-job maps over
 the kernels' bench grid and hypothesis high-pressure loops returns, point
 by point, what one ``run_jobs`` call over the whole grid returns.
@@ -18,8 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench import LATENCY, bench_grid
-from repro.engine.jobs import evaluate_job
-from repro.engine.pool import Engine, run_jobs
+from repro.engine.jobs import evaluate_job, lent_chains
+from repro.engine.pool import run_jobs
 from repro.ir.loop import Loop
 from repro.machine.config import paper_config
 from repro.workloads.kernels import all_kernels
@@ -70,7 +71,9 @@ class TestSinglePointStream:
         golden = kernel_golden + run_jobs(extra, workers=0, cache=None)
         order = list(range(len(jobs)))
         random.Random(shuffle_seed).shuffle(order)
-        engine = Engine(workers=0, cache=None)
-        for index in order:
-            assert engine.map([jobs[index]]) == [golden[index]], jobs[index]
-        assert len(engine.chains) <= len(all_kernels()) + len(loops)
+        chains: dict = {}
+        with lent_chains(chains):
+            for index in order:
+                point = run_jobs([jobs[index]], workers=0, cache=None)
+                assert point == [golden[index]], jobs[index]
+        assert len(chains) <= len(all_kernels()) + len(loops)
