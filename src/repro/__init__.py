@@ -29,6 +29,11 @@ The package implements the paper's complete pipeline in pure Python:
   JSON-round-trippable request/response types, the experiment registry,
   and the concurrent ``python -m repro serve`` front-end.
 
+``import repro`` is lazy (PEP 562): each name of ``__all__`` is imported
+from its defining module on first access, so ``import repro.<subpackage>``
+loads only that subpackage and what it imports -- the proof path never
+pays for the HTTP front-end, the report or the experiment drivers.
+
 Quickstart::
 
     from repro import Model, evaluate_loop, paper_config
@@ -38,50 +43,114 @@ Quickstart::
     print(ev.ii, ev.requirement.registers)
 """
 
-from repro.api import (
-    API_SCHEMA_VERSION,
-    ApiError,
-    EvaluateRequest,
-    ExperimentRequest,
-    LoopSpec,
-    MachineSpec,
-    PressureRequest,
-    ReportRequest,
-    ScheduleRequest,
-    Session,
-    SweepRequest,
-    capabilities,
-    get_experiment,
-    list_experiments,
-)
-from repro.core.models import Model, Requirement, required_registers
-from repro.core.pressure import PressureReport, pressure_report
-from repro.engine.cache import ResultCache, default_cache_dir
-from repro.engine.pool import Engine, serial_engine
-from repro.engine.sweep import SweepSpec, format_outcome, named_sweep, run_sweep
-from repro.ir.builder import LoopBuilder
-from repro.ir.loop import Loop
-from repro.machine.config import (
-    MachineConfig,
-    clustered_config,
-    example_config,
-    paper_config,
-    pxly,
-)
-from repro.pipeline import (
-    ArtifactStore,
-    PassContext,
-    Pipeline,
-    SPILL_POLICIES,
-    evaluation_pipeline,
-    pressure_pipeline,
-    run_evaluation,
-    run_pressure,
-)
-from repro.report import ReportResult, generate_report
-from repro.sched.compact import compact_schedule
-from repro.sched.modulo import modulo_schedule, schedule_loop
-from repro.spill.spiller import LoopEvaluation, evaluate_loop
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.api import (
+        API_SCHEMA_VERSION,
+        ApiError,
+        EvaluateRequest,
+        ExperimentRequest,
+        LoopSpec,
+        MachineSpec,
+        PressureRequest,
+        ReportRequest,
+        ScheduleRequest,
+        Session,
+        SweepRequest,
+        capabilities,
+        get_experiment,
+        list_experiments,
+    )
+    from repro.core.models import Model, Requirement, required_registers
+    from repro.core.pressure import PressureReport, pressure_report
+    from repro.engine.cache import ResultCache, default_cache_dir
+    from repro.engine.pool import Engine, serial_engine
+    from repro.engine.sweep import (
+        SweepSpec,
+        format_outcome,
+        named_sweep,
+        run_sweep,
+    )
+    from repro.ir.builder import LoopBuilder
+    from repro.ir.loop import Loop
+    from repro.machine.config import (
+        MachineConfig,
+        clustered_config,
+        example_config,
+        paper_config,
+        pxly,
+    )
+    from repro.pipeline import (
+        ArtifactStore,
+        PassContext,
+        Pipeline,
+        SPILL_POLICIES,
+        evaluation_pipeline,
+        pressure_pipeline,
+        run_evaluation,
+        run_pressure,
+    )
+    from repro.report import ReportResult, generate_report
+    from repro.sched.compact import compact_schedule
+    from repro.sched.modulo import modulo_schedule, schedule_loop
+    from repro.spill.spiller import LoopEvaluation, evaluate_loop
+
+#: Public name -> the module that defines it, resolved on first access.
+_EXPORTS: dict[str, str] = {
+    "API_SCHEMA_VERSION": "repro.api",
+    "ApiError": "repro.api",
+    "EvaluateRequest": "repro.api",
+    "ExperimentRequest": "repro.api",
+    "LoopSpec": "repro.api",
+    "MachineSpec": "repro.api",
+    "PressureRequest": "repro.api",
+    "ReportRequest": "repro.api",
+    "ScheduleRequest": "repro.api",
+    "Session": "repro.api",
+    "SweepRequest": "repro.api",
+    "capabilities": "repro.api",
+    "get_experiment": "repro.api",
+    "list_experiments": "repro.api",
+    "Model": "repro.core.models",
+    "Requirement": "repro.core.models",
+    "required_registers": "repro.core.models",
+    "PressureReport": "repro.core.pressure",
+    "pressure_report": "repro.core.pressure",
+    "ResultCache": "repro.engine.cache",
+    "default_cache_dir": "repro.engine.cache",
+    "Engine": "repro.engine.pool",
+    "serial_engine": "repro.engine.pool",
+    "SweepSpec": "repro.engine.sweep",
+    "format_outcome": "repro.engine.sweep",
+    "named_sweep": "repro.engine.sweep",
+    "run_sweep": "repro.engine.sweep",
+    "LoopBuilder": "repro.ir.builder",
+    "Loop": "repro.ir.loop",
+    "MachineConfig": "repro.machine.config",
+    "clustered_config": "repro.machine.config",
+    "example_config": "repro.machine.config",
+    "paper_config": "repro.machine.config",
+    "pxly": "repro.machine.config",
+    "ArtifactStore": "repro.pipeline",
+    "PassContext": "repro.pipeline",
+    "Pipeline": "repro.pipeline",
+    "SPILL_POLICIES": "repro.pipeline",
+    "evaluation_pipeline": "repro.pipeline",
+    "pressure_pipeline": "repro.pipeline",
+    "run_evaluation": "repro.pipeline",
+    "run_pressure": "repro.pipeline",
+    "ReportResult": "repro.report",
+    "generate_report": "repro.report",
+    "compact_schedule": "repro.sched.compact",
+    "modulo_schedule": "repro.sched.modulo",
+    "schedule_loop": "repro.sched.modulo",
+    "LoopEvaluation": "repro.spill.spiller",
+    "evaluate_loop": "repro.spill.spiller",
+}
 
 __version__ = "1.0.0"
 
@@ -137,3 +206,16 @@ __all__ = [
     "serial_engine",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -66,7 +66,6 @@ from repro.kernel.batch import LoopChain
 from repro.machine.config import paper_config
 from repro.pipeline import ArtifactStore
 from repro.pipeline.pipelines import run_evaluation
-from repro.report.provenance import git_revision
 from repro.workloads.suite import perfect_club_like
 
 #: The canonical Figure 8/9 bench grid -- the single definition shared by
@@ -287,6 +286,10 @@ def run_bench(
                 "p50_ms": round(stats.p50_ms, 2),
                 "p99_ms": round(stats.p99_ms, 2),
             }
+
+    # Lazy import: repro.report pulls in the experiment drivers, which a
+    # bench run needs only for this one provenance string.
+    from repro.report.provenance import git_revision
 
     snapshot = {
         "meta": {

@@ -15,10 +15,9 @@ shared engine collapses that duplication even with the disk cache disabled.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from dataclasses import replace as _replace
 
@@ -38,6 +37,10 @@ from repro.engine.jobs import (
 )
 from repro.ir.loop import Loop
 from repro.machine.config import MachineConfig
+
+if TYPE_CHECKING:
+    # Imported where workers are started: a serial run never pays for it.
+    import multiprocessing.pool
 
 #: Callback signature: ``progress(done, total)`` after every finished job.
 ProgressFn = Callable[[int, int], None]
@@ -224,6 +227,8 @@ def run_jobs(
                 for index, result in batch:
                     finish(index, jobs[index], result)
         else:
+            import multiprocessing
+
             with multiprocessing.Pool(processes=workers) as ephemeral:
                 for batch in ephemeral.imap_unordered(
                     _execute_batch_chunk, chunks
@@ -269,6 +274,8 @@ class Engine:
         if workers <= 1:
             return None
         if self._pool is None:
+            import multiprocessing
+
             self._pool = multiprocessing.Pool(processes=workers)
         return self._pool
 

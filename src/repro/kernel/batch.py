@@ -41,7 +41,7 @@ Grid walks return summary numbers only.  The static proof needs the real
 artifacts, so :meth:`LoopChain.materialize` additionally lifts the node a
 walk exits on to a full :class:`~repro.spill.spiller.LoopEvaluation`: the
 node's graph is replayed lazily with :func:`~repro.spill.spiller.spill_value`
-on the victims along the chain, its array schedule becomes a verified
+on the victims along the walk's path, its array schedule becomes a verified
 :class:`~repro.sched.schedule.Schedule`, and the allocation is the one the
 node computed its requirement from -- first-fit shifts, subfile
 memberships and, for Swapped, the swap search's trace -- lifted to the
@@ -315,21 +315,36 @@ def _spill_arrays(
     return child, n_loads
 
 
+class _Context(NamedTuple):
+    """What every node of one chain reads of it: nothing that points back."""
+
+    graph: DependenceGraph
+    machine: MachineConfig
+    name: str
+    policy: str
+
+
 class _Node:
     """One state ``(graph, min II)`` of a loop's universal spill chain.
 
     Every artifact is lazy and computed at most once per node, no matter how
     many (model, budget) walks traverse it.  Only the root carries an actual
-    :class:`DependenceGraph` (via the chain); spill children live entirely
-    in array space (:func:`_spill_arrays`), and an escalation child shares
-    the parent's lowered arrays and MII outright (the graph is unchanged;
-    only the scheduling floor moves).  ``origin`` records how a child was
-    derived -- ``(parent, victim op id)`` for a spill, ``(parent, None)``
-    for an escalation -- so :attr:`graph` can replay it on demand.
+    :class:`DependenceGraph` up front; spill children live entirely in array
+    space (:func:`_spill_arrays`), and an escalation child shares the
+    parent's lowered arrays and MII outright (the graph is unchanged; only
+    the scheduling floor moves).  ``spilled_op`` records how a child was
+    derived -- the victim's op id for a spill, ``None`` for an escalation
+    -- so :func:`_replay` can rebuild its graph from its parent's.
+
+    Nodes never point up: the chain owns the root, each node owns its
+    children, and a node reads only the chain's immutable :class:`_Context`.
+    A dropped chain is therefore freed by reference counting alone, nodes,
+    arrays, schedules and replayed graphs with it, without leaving cyclic
+    garbage for the collector.
     """
 
     __slots__ = (
-        "chain",
+        "ctx",
         "min_ii",
         "mem_ops",
         "spill_ops",
@@ -347,7 +362,7 @@ class _Node:
         "_esc_child",
         "_exact",
         "_dual_lb",
-        "_origin",
+        "_spilled_op",
         "_graph",
         "_schedule",
         "_lifetimes",
@@ -355,7 +370,7 @@ class _Node:
 
     def __init__(
         self,
-        chain: "LoopChain",
+        ctx: _Context,
         min_ii: int,
         mem_ops: int,
         spill_ops: int,
@@ -364,9 +379,10 @@ class _Node:
         la: LoopArrays | None = None,
         mii: int | None = None,
         rec_floor: int = 1,
-        origin: "tuple[_Node, int | None] | None" = None,
+        spilled_op: int | None = None,
+        graph: DependenceGraph | None = None,
     ) -> None:
-        self.chain = chain
+        self.ctx = ctx
         self.min_ii = min_ii
         #: Memory/spill op counts per iteration, maintained incrementally:
         #: one spill adds one store plus one load per distinct (consumer,
@@ -390,8 +406,8 @@ class _Node:
         self._esc_child: "_Node | None" = None
         self._exact: dict[object, _Exact] = {}
         self._dual_lb: int | None = None
-        self._origin = origin
-        self._graph: DependenceGraph | None = None
+        self._spilled_op = spilled_op
+        self._graph = graph
         self._schedule: Schedule | None = None
         self._lifetimes: dict[int, Lifetime] | None = None
 
@@ -401,7 +417,7 @@ class _Node:
     @property
     def la(self) -> LoopArrays:
         if self._la is None:  # only ever the root: children set arrays
-            self._la = lower_loop(self.chain.graph, self.chain.machine)
+            self._la = lower_loop(self.ctx.graph, self.ctx.machine)
         return self._la
 
     @property
@@ -426,7 +442,7 @@ class _Node:
                 ii += 1
             else:
                 raise SchedulingFailure(
-                    f"{self.chain.name}: no schedule up to II={max_ii} "
+                    f"{self.ctx.name}: no schedule up to II={max_ii} "
                     f"(MII={mii})"
                 )
         return self._sched
@@ -474,22 +490,17 @@ class _Node:
     # ------------------------------------------------------------------
     @property
     def graph(self) -> DependenceGraph:
-        """This state's dependence graph, replayed from the root on demand.
+        """This state's dependence graph: the root's, or one :func:`_replay` set.
 
-        Each spill child re-applies :func:`spill_value` to its parent's
-        graph with the victim's op id, which allocates the same ids
-        :func:`_spill_arrays` appended; an escalation child shares its
-        parent's graph.  Walks that pass through a node share its replay.
+        A child holds no reference to its parent, so only a walk that
+        reached it can rebuild its graph; asking an unreplayed child is a
+        programming error.
         """
         if self._graph is None:
-            if self._origin is None:
-                self._graph = self.chain.graph
-            else:
-                parent, victim_op = self._origin
-                graph = parent.graph
-                self._graph = (
-                    graph if victim_op is None else spill_value(graph, victim_op)
-                )
+            raise RuntimeError(
+                f"{self.ctx.name}: node graph not replayed; materialize "
+                f"the walk that reaches it"
+            )
         return self._graph
 
     @property
@@ -509,7 +520,7 @@ class _Node:
                 )
                 for i, op_id in enumerate(la.ids)
             }
-            schedule = Schedule(self.graph, self.chain.machine, ii, placements)
+            schedule = Schedule(self.graph, self.ctx.machine, ii, placements)
             schedule.verify()
             self._schedule = schedule
         return self._schedule
@@ -732,11 +743,11 @@ class _Node:
             candidates.append(k)
         if not candidates:
             return None
-        if self.chain.policy == "first":
+        policy = self.ctx.policy
+        if policy == "first":
             return candidates[0]  # slots ascend with op id
         starts, ends = self.bounds
         ii = self.ii
-        policy = self.chain.policy
         # Indices ascend with op ids, so every id tie break holds on slots.
         if policy == "longest":
             return max(
@@ -778,7 +789,7 @@ class _Node:
         """The state after spilling this node's victim (shared by walks)."""
         if self._spill_child is None:
             la = self.la
-            machine = self.chain.machine
+            machine = self.ctx.machine
             ma = la.ma
             child_la, n_loads = _spill_arrays(
                 la,
@@ -791,7 +802,7 @@ class _Node:
             added = 1 + n_loads
             victim_op = la.ids[la.values[self.victim]]
             self._spill_child = _Node(
-                self.chain,
+                self.ctx,
                 self.min_ii,
                 self.mem_ops + added,
                 self.spill_ops + added,
@@ -799,7 +810,7 @@ class _Node:
                 self.is_spill_store + [True] + [False] * n_loads,
                 la=child_la,
                 rec_floor=self._rec_floor,
-                origin=(self, victim_op),
+                spilled_op=victim_op,
             )
         return self._spill_child
 
@@ -807,7 +818,7 @@ class _Node:
         """The state after rescheduling at ``next_ii`` (same arrays)."""
         if self._esc_child is None or self._esc_child.min_ii != next_ii:
             self._esc_child = _Node(
-                self.chain,
+                self.ctx,
                 next_ii,
                 self.mem_ops,
                 self.spill_ops,
@@ -816,9 +827,26 @@ class _Node:
                 la=self._la,
                 mii=self._mii,
                 rec_floor=self._rec_floor,
-                origin=(self, None),
             )
         return self._esc_child
+
+
+def _replay(path: list[_Node]) -> None:
+    """Give every node of a walked ``path`` its dependence graph.
+
+    ``path`` starts at a node whose graph is known (the root, whose graph
+    is the chain's) and each next node is a child of the one before.  A
+    spill child re-applies :func:`spill_value` to its parent's graph with
+    the victim's op id, which allocates the same ids :func:`_spill_arrays`
+    appended; an escalation child shares its parent's graph.  Walks that
+    pass through a node share its replay.
+    """
+    graph = path[0].graph
+    for node in path[1:]:
+        if node._graph is None:
+            op = node._spilled_op
+            node._graph = graph if op is None else spill_value(graph, op)
+        graph = node.graph
 
 
 # ----------------------------------------------------------------------
@@ -876,12 +904,13 @@ class LoopChain:
         memory = graph.memory_operations()
         ops = graph.operations
         self.root = _Node(
-            self,
+            _Context(graph, machine, graph.name, victim_policy),
             1,
             len(memory),
             sum(1 for op in memory if op.is_spill),
             [op.is_spill for op in ops],
             [op.is_spill and op.optype is OpType.STORE for op in ops],
+            graph=graph,
         )
 
     def pressure(self, estimator: SwapEstimator) -> BatchPressure:
@@ -932,9 +961,11 @@ class LoopChain:
         the caller (:func:`repro.check.coverage.chain_claims` turns it into
         a finding).
         """
+        path: list[_Node] = []
         summary, node = self._walk(
-            model, register_budget, estimator, max_rounds
+            model, register_budget, estimator, max_rounds, path
         )
+        _replay(path)
         requirement = node.lift(model, estimator)
         return summary, LoopEvaluation(
             loop=loop,
@@ -955,8 +986,13 @@ class LoopChain:
         register_budget: int | None,
         estimator: SwapEstimator,
         max_rounds: int,
+        path: list[_Node] | None = None,
     ) -> tuple[BatchEvaluation, _Node]:
-        """The walk behind :meth:`evaluate`, plus the node it exits on."""
+        """The walk behind :meth:`evaluate`, plus the node it exits on.
+
+        ``path``, when given, receives every measured node from the root
+        to the exit node, for :func:`_replay`.
+        """
         budget = None if model is Model.IDEAL else register_budget
         select_victims = self.strategy == "spill"
         escalation = self.escalation
@@ -971,6 +1007,8 @@ class LoopChain:
         registers: int | None = None
         for _ in range(max_rounds):
             last = node
+            if path is not None:
+                path.append(node)
             registers = None
             if budget is None:
                 registers = node.requirement(model, estimator)

@@ -1,12 +1,10 @@
 """The IMS attempt loop on flat arrays and a bitmask reservation table.
 
 Bit-for-bit the algorithm of :func:`repro.sched.modulo._attempt` -- same
-priority function, same tie breaks, same forcing and displacement rules,
-same operation budget -- with the dict-of-tuples MRT replaced by one
-occupancy word per (kernel row, pool).  The free-instance probe becomes
-"lowest zero bit of the word" and unschedule/place become single bit
-operations; one flat occupant table keeps op indices for victim selection
-when a full row forces a displacement.
+priority function, same tie breaks, same displacement rule, same operation
+budget -- with the dict-of-tuples MRT replaced by one occupancy word per
+(kernel row, pool).  The free-instance probe becomes "lowest zero bit of
+the word" and unschedule/place become single bit operations.
 
 Operation indices ascend with op ids (see :mod:`repro.kernel.loop`), so
 every id-based tie break below is expressed on indices unchanged.
@@ -82,10 +80,20 @@ def heights(la: LoopArrays, ii: int) -> list[int]:
 def attempt(
     la: LoopArrays, ii: int, budget_factor: int
 ) -> tuple[list[int], list[int]] | None:
-    """One IMS attempt at a fixed II.
+    """One IMS attempt at a fixed II, which must be at least ResMII.
 
     Returns ``(times, instances)`` indexed by op index, or ``None`` when the
     operation budget runs out before everything is placed.
+
+    Every op holds one unit of its pool for one cycle, and the window
+    search below covers all ``ii`` kernel rows.  At ``ii >= ResMII`` a
+    pool has at most ``units * ii`` ops, so while one of them is
+    unscheduled its pool has a free unit in some row and the search finds
+    it: an op is never forced onto an occupied unit.
+
+    Raises:
+        ValueError: If the window has no free unit, i.e. ``ii`` is below
+            ResMII.
     """
     n = la.n
     if n == 0:
@@ -99,8 +107,6 @@ def attempt(
 
     time = [-1] * n
     inst = [-1] * n
-    ever = [False] * n
-    last = [-1] * n
     unscheduled = [True] * n
     n_unscheduled = n
     budget = budget_factor * n
@@ -115,13 +121,8 @@ def attempt(
         rank[i] = r
     cursor = 0
 
-    # MRT: one occupancy word per (row, pool) cell, and one flat occupant
-    # table with ``width`` entries per cell (instance k of cell at
-    # ``cell * width + k``).
-    counts = ma.counts
-    width = max(counts)
+    # MRT: one occupancy word per (row, pool) cell.
     occ_mask = [0] * (ii * n_pools)
-    occ_ops = [-1] * (ii * n_pools * width)
 
     while n_unscheduled:
         if budget <= 0:
@@ -155,42 +156,14 @@ def attempt(
                 break
 
         if chosen_time < 0:
-            # Force: never-scheduled ops go at Estart; previously displaced
-            # ops move at least one cycle past their previous slot so the
-            # search cannot cycle.
-            if ever[op] and last[op] + 1 > estart:
-                chosen_time = last[op] + 1
-            else:
-                chosen_time = estart
-            cell = (chosen_time % ii) * n_pools + p
-            base = cell * width
-            # Displace the lowest-height occupant; ties to the highest id.
-            # The whole row is full, or the window search would have
-            # found a free instance.
-            victim_idx = 0
-            victim = occ_ops[base]
-            for k in range(1, counts[p]):
-                o = occ_ops[base + k]
-                if h[o] < h[victim] or (h[o] == h[victim] and o > victim):
-                    victim_idx = k
-                    victim = o
-            occ_mask[cell] &= ~(1 << victim_idx)
-            occ_ops[base + victim_idx] = -1
-            time[victim] = -1
-            inst[victim] = -1
-            unscheduled[victim] = True
-            n_unscheduled += 1
-            if rank[victim] < cursor:
-                cursor = rank[victim]
-            chosen_inst = victim_idx
+            raise ValueError(
+                f"no free {ma.names[p]} unit in any row at II={ii}: "
+                f"II is below ResMII"
+            )
 
-        cell = (chosen_time % ii) * n_pools + p
-        occ_mask[cell] |= 1 << chosen_inst
-        occ_ops[cell * width + chosen_inst] = op
+        occ_mask[(chosen_time % ii) * n_pools + p] |= 1 << chosen_inst
         time[op] = chosen_time
         inst[op] = chosen_inst
-        ever[op] = True
-        last[op] = chosen_time
         unscheduled[op] = False
         n_unscheduled -= 1
 
@@ -200,10 +173,7 @@ def attempt(
             if dst == op or t < 0:
                 continue
             if t < chosen_time + delay - ii * dist:
-                cell = (t % ii) * n_pools + pool[dst]
-                k = inst[dst]
-                occ_mask[cell] &= ~(1 << k)
-                occ_ops[cell * width + k] = -1
+                occ_mask[(t % ii) * n_pools + pool[dst]] &= ~(1 << inst[dst])
                 time[dst] = -1
                 inst[dst] = -1
                 unscheduled[dst] = True

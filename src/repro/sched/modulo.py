@@ -5,12 +5,14 @@ The scheduler tries successive candidate IIs starting at
 
 1. pick the unscheduled operation with the greatest height;
 2. compute its earliest start from its *scheduled* predecessors;
-3. look for a free slot (modulo reservation table) in the II-wide window
-   ``[Estart, Estart + II - 1]``;
-4. if none exists, force the operation into a slot, displacing the occupant
-   and any successors whose dependences become violated;
-5. stop when everything is placed or the operation budget is exhausted
+3. take the first free slot (modulo reservation table) in the II-wide
+   window ``[Estart, Estart + II - 1]``, displacing any scheduled
+   successors whose dependences become violated;
+4. stop when everything is placed or the operation budget is exhausted
    (then try II + 1).
+
+Rau's IMS forces an operation onto an occupied slot when the window has
+no free one; at II >= ResMII that cannot happen here (see :func:`_attempt`).
 
 The modulo reservation table binds each operation to a concrete unit
 instance; instance parity defines the operation's initial cluster for the
@@ -41,8 +43,6 @@ class _Slot:
 
     time: int = -1
     instance: int = -1
-    ever_scheduled: bool = False
-    last_time: int = -1
 
     @property
     def scheduled(self) -> bool:
@@ -104,6 +104,18 @@ def _attempt(
     ii: int,
     budget_factor: int,
 ) -> dict[int, Placement] | None:
+    """One IMS attempt at a fixed ``ii``, which must be at least ResMII.
+
+    Returns the placements, or ``None`` when the operation budget runs out.
+    A pool of ``units`` instances has ``units * ii`` slots and, at
+    ``ii >= ResMII = max over pools of ceil(ops / units)``, at most that
+    many operations; so while one is unscheduled some row has a free
+    instance, and the window search, which visits every row, finds it.
+
+    Raises:
+        ValueError: If the window has no free instance (``ii`` below
+            ResMII).
+    """
     ops = graph.operations
     h = heights(graph, machine, ii)
     in_edges: dict[int, list] = {op.op_id: [] for op in ops}
@@ -144,8 +156,6 @@ def _attempt(
         mrt[(time % ii, pool)][instance] = op_id
         slot.time = time
         slot.instance = instance
-        slot.ever_scheduled = True
-        slot.last_time = time
         unscheduled.discard(op_id)
 
     while unscheduled:
@@ -173,24 +183,11 @@ def _attempt(
                 chosen_instance = instance
                 break
 
-        if chosen_time is None:
-            # Force: never-scheduled ops go at Estart; previously displaced
-            # ops move at least one cycle past their previous slot so the
-            # search cannot cycle.
-            slot = slots[op_id]
-            if slot.ever_scheduled and slot.last_time + 1 > estart:
-                chosen_time = slot.last_time + 1
-            else:
-                chosen_time = estart
-            row = chosen_time % ii
-            entries = mrt[(row, pool)]
-            # Displace the lowest-height occupant of the needed pool.
-            victim_idx = min(
-                range(len(entries)),
-                key=lambda idx: (h[entries[idx]], -entries[idx]),
+        if chosen_time is None or chosen_instance is None:
+            raise ValueError(
+                f"no free {pool} unit in any row at II={ii}: "
+                f"II is below ResMII"
             )
-            unschedule(entries[victim_idx])
-            chosen_instance = victim_idx
 
         place(op_id, chosen_time, chosen_instance)
 

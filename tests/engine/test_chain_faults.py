@@ -33,8 +33,8 @@ def _faulty_spill_child(monkeypatch, victims):
     original = _Node.spill_child
 
     def spill_child(self):
-        if self.chain.name in victims:
-            raise ChainFault(f"injected fault in {self.chain.name}")
+        if self.ctx.name in victims:
+            raise ChainFault(f"injected fault in {self.ctx.name}")
         return original(self)
 
     monkeypatch.setattr(_Node, "spill_child", spill_child)

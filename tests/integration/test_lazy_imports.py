@@ -1,0 +1,103 @@
+"""``import repro.<subpackage>`` loads that subpackage, not the whole facade.
+
+``repro/__init__`` resolves its public names lazily (PEP 562), so the proof,
+the kernel, the engine and the bench harness import without the HTTP
+front-end, the report, the experiment drivers or :mod:`multiprocessing`.
+The facade itself still exports every name of ``__all__``.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = str(Path(repro.__file__).resolve().parent.parent)
+
+#: Modules a plain proof, grid or bench import must not load.
+HEAVY = (
+    "repro.api",
+    "repro.report",
+    "repro.experiments",
+    "http.server",
+    "multiprocessing",
+)
+
+PROBE = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+print(json.dumps(sorted(m for m in json.loads(sys.argv[2]) if m in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.check.coverage",
+        "repro.kernel.batch",
+        "repro.engine.pool",
+        "repro.bench",
+    ],
+)
+def test_subpackage_import_stays_small(module):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE, module, json.dumps(HEAVY)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
+def type_checking_imports() -> dict[str, str]:
+    """Name -> module of the ``if TYPE_CHECKING:`` imports type checkers read."""
+    tree = ast.parse(Path(repro.__file__).read_text())
+    block = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.If)
+        and isinstance(node.test, ast.Name)
+        and node.test.id == "TYPE_CHECKING"
+    )
+    return {
+        alias.name: node.module
+        for node in block.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_lazy_table_matches_what_type_checkers_see():
+    imports = type_checking_imports()
+    assert imports == repro._EXPORTS
+    assert set(imports) | {"__version__"} == set(repro.__all__)
+
+
+def test_every_public_name_resolves_to_its_definition():
+    for name, module in type_checking_imports().items():
+        namespace: dict = {}
+        exec(f"from repro import {name}", namespace)
+        assert namespace[name] is getattr(
+            importlib.import_module(module), name
+        ), name
+    assert repro.__version__ == "1.0.0"
+
+
+def test_dir_lists_every_public_name():
+    assert set(repro.__all__) <= set(dir(repro))
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repro.no_such_name  # noqa: B018

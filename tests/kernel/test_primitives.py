@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from repro.ir.builder import LoopBuilder
+from repro.kernel import modulo as kmodulo
+from repro.kernel.batch import array_mii
 from repro.kernel.firstfit import BitOccupancy, first_fit_shift
 from repro.kernel.lifetimes import live_profile_spans, max_live_spans
+from repro.kernel.loop import lower_loop
+from repro.machine.config import paper_config
 from repro.regalloc.firstfit import IntervalSet
 from repro.regalloc.firstfit import first_fit_shift as legacy_shift
 from repro.regalloc.lifetimes import Lifetime
@@ -166,3 +173,19 @@ class TestLiveProfiles:
         # Length 3 at II=2: one whole copy everywhere plus a wrapped cycle.
         assert live_profile_spans([(0, 3)], 2) == [2, 1]
         assert live_profile_spans([(1, 4)], 2) == [1, 2]
+
+
+class TestModuloAttempt:
+    """The window search always finds a free unit at II >= ResMII."""
+
+    def test_attempt_below_res_mii_raises(self):
+        b = LoopBuilder("memory_bound")  # 6 memory ops on 2 units
+        total = b.load("a0")
+        for k in range(1, 5):
+            total = b.add(total, b.load(f"a{k}"))
+        b.store(total, "out")
+        la = lower_loop(b.build().graph, paper_config(6))
+        assert array_mii(la) == (3, 1)
+        assert kmodulo.attempt(la, 3, 16) is not None
+        with pytest.raises(ValueError, match="below ResMII"):
+            kmodulo.attempt(la, 2, 16)

@@ -20,7 +20,7 @@ from repro.bench import LATENCY, bench_grid
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.kernel import modulo as kmodulo
-from repro.kernel.batch import LoopChain
+from repro.kernel.batch import LoopChain, _replay
 from repro.machine.config import paper_config
 from repro.sched.mii import minimum_ii
 from repro.sched.priority import heights
@@ -37,14 +37,20 @@ def chain_nodes(chain: LoopChain, points) -> list:
     for model, budget in points:
         chain.evaluate(model, budget, SwapEstimator.MAXLIVE)
     nodes = []
+    spine = []
     node = chain.root
     for _ in range(DEPTH):
         nodes.append(node)
+        spine.append(node)
         if node._esc_child is not None:
             nodes.append(node._esc_child)
         if node.victim is None:
             break
         node = node.spill_child()
+    _replay(spine)
+    for node in spine:
+        if node._esc_child is not None:
+            _replay([node, node._esc_child])
     return nodes
 
 

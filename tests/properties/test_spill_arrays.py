@@ -27,7 +27,7 @@ from repro.core.swapping import SwapEstimator
 from repro.ir.builder import LoopBuilder
 from repro.ir.operation import OpType
 from repro.kernel import modulo as kmodulo
-from repro.kernel.batch import LoopChain, _spill_arrays, array_mii
+from repro.kernel.batch import LoopChain, _replay, _spill_arrays, array_mii
 from repro.kernel.loop import LoopArrays, lower_loop
 from repro.machine.config import clustered_config, paper_config
 from repro.spill.spiller import spill_value
@@ -73,6 +73,7 @@ def spill_children(chain: LoopChain) -> list:
             break
         node = node.spill_child()
         children.append(node)
+    _replay([chain.root] + children)
     return children
 
 

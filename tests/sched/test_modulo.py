@@ -5,7 +5,12 @@ import pytest
 from repro.ir.builder import LoopBuilder
 from repro.machine.config import paper_config
 from repro.sched.mii import minimum_ii
-from repro.sched.modulo import SchedulingFailure, modulo_schedule, schedule_loop
+from repro.sched.modulo import (
+    SchedulingFailure,
+    _attempt,
+    modulo_schedule,
+    schedule_loop,
+)
 from repro.sched.schedule import ScheduleError
 from repro.workloads.kernels import all_kernels, example_loop
 
@@ -126,3 +131,25 @@ class TestResourceBinding:
         ops = {op.name: op.op_id for op in example_schedule.graph.operations}
         with pytest.raises(ScheduleError):
             example_schedule.with_instances({ops["A4"]: 9})
+
+
+def memory_bound_graph():
+    """Five loads and a store on two memory units: ResMII 3, RecMII 1."""
+    b = LoopBuilder("memory_bound")
+    total = b.load("a0")
+    for k in range(1, 5):
+        total = b.add(total, b.load(f"a{k}"))
+    b.store(total, "out")
+    return b.build().graph
+
+
+class TestBelowResMII:
+    """The IMS window search always finds a free unit at II >= ResMII."""
+
+    def test_attempt_below_res_mii_raises(self, paper_l6):
+        graph = memory_bound_graph()
+        report = minimum_ii(graph, paper_l6)
+        assert (report.res, report.rec) == (3, 1)
+        assert _attempt(graph, paper_l6, report.res, 16) is not None
+        with pytest.raises(ValueError, match="below ResMII"):
+            _attempt(graph, paper_l6, report.res - 1, 16)
