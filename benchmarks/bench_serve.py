@@ -1,13 +1,10 @@
 """Load harness for ``repro serve``: throughput and tail latency.
 
-Spawns real server subprocesses (single-process and scale-out), drives
-them with persistent-connection client threads over the bench grid's
-evaluate workload, and reports p50/p99 latency, points/second, and the
-single-over-sharded wall-time ratio -- the ``serve_single`` /
-``serve_throughput`` measurements ``python -m repro bench`` records in
-BENCH.json, exposed here with knobs for exploring client counts,
-workload shapes, and worker counts.  The ratio mostly reflects the
-host's core count and is informational.
+Spawns a real server subprocess, drives it with persistent-connection
+client threads over the bench grid's evaluate workload, and reports
+p50/p99 latency and points/second -- the ``serve_single`` measurement
+``python -m repro bench`` records in BENCH.json, exposed here with knobs
+for exploring client counts and workload shapes.
 
 Run from the repo root (the repo ships no installer)::
 
@@ -16,11 +13,11 @@ Run from the repo root (the repo ships no installer)::
     PYTHONPATH=src python benchmarks/bench_serve.py --url http://host:8357
     PYTHONPATH=src python benchmarks/bench_serve.py --smoke
 
-``--smoke`` is the CI mode: a small sharded run that asserts on client
-errors, a p99 bound, and a clean server shutdown, exiting non-zero on
-any of them.  ``--url`` skips server spawning and hammers an already
-running server instead (workload priming and the scale-out comparison
-are skipped; the server's cache state is whatever it is).
+``--smoke`` is the CI mode: a small run under ~50 concurrent clients
+that asserts on client errors, a p99 bound, and a clean server shutdown,
+exiting non-zero on any of them.  ``--url`` skips server spawning and
+hammers an already running server instead (the server's cache state is
+whatever it is).
 """
 
 from __future__ import annotations
@@ -36,21 +33,19 @@ from repro.api.loadtest import (
     run_load,
 )
 
-#: --smoke: bound on the sharded p99 under ~50 concurrent clients.  The
-#: CI host is small and shared, so this is a tripwire for pathological
+#: --smoke: bound on the p99 under ~50 concurrent clients.  The CI host
+#: is small and shared, so this is a tripwire for pathological
 #: serialization (seconds-long convoys), not a performance promise.
 SMOKE_P99_MS = 5000.0
 SMOKE_CLIENTS = 50
 SMOKE_LOOPS = 8
 
 
-def _measure(workers: int, bodies, clients: int, engine_workers: int):
+def _measure(bodies, clients: int, engine_workers: int):
     """One fresh server, one load run; returns (stats, clean_exit)."""
-    with ServerProcess(
-        workers=workers, engine_workers=engine_workers
-    ) as server:
-        if not bodies:
-            raise ValueError("empty workload")
+    if not bodies:
+        raise ValueError("empty workload")
+    with ServerProcess(engine_workers=engine_workers) as server:
         stats = run_load(server.url, bodies, clients=clients)
         clean = server.shutdown()
     return stats, clean
@@ -74,16 +69,10 @@ def main(argv=None) -> int:
     parser.add_argument("--loops", type=int, default=24)
     parser.add_argument("--clients", type=int, default=32)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="shard processes of the scale-out server (default: 2)",
-    )
-    parser.add_argument(
         "--engine-workers",
         type=int,
         default=0,
-        help="compute workers per serving process (default: 0)",
+        help="compute workers of the server's engine (default: 0)",
     )
     parser.add_argument(
         "--workload", choices=WORKLOADS, default="mixed"
@@ -100,18 +89,16 @@ def main(argv=None) -> int:
         "--smoke",
         action="store_true",
         help=(
-            "CI mode: small sharded run; exit non-zero on errors, "
-            f"p99 > {SMOKE_P99_MS:.0f} ms, or unclean shutdown"
+            f"CI mode: small run, {SMOKE_CLIENTS} clients; exit non-zero "
+            f"on errors, p99 > {SMOKE_P99_MS:.0f} ms, or unclean shutdown"
         ),
     )
     args = parser.parse_args(argv)
 
     if args.smoke:
         bodies = build_workload("mixed", SMOKE_LOOPS)
-        stats, clean = _measure(
-            max(2, args.workers), bodies, SMOKE_CLIENTS, args.engine_workers
-        )
-        _report(f"smoke (workers={max(2, args.workers)})", stats, clean)
+        stats, clean = _measure(bodies, SMOKE_CLIENTS, args.engine_workers)
+        _report(f"smoke (clients={SMOKE_CLIENTS})", stats, clean)
         failures = []
         if stats.errors:
             failures.append(
@@ -142,24 +129,13 @@ def main(argv=None) -> int:
         _report(f"remote {args.url}", stats)
         results["remote"] = stats.as_dict()
     else:
-        single, single_clean = _measure(
-            0, bodies, args.clients, args.engine_workers
-        )
-        _report("single-process", single, single_clean)
+        single, clean = _measure(bodies, args.clients, args.engine_workers)
+        _report("serve", single, clean)
         results["serve_single"] = single.as_dict()
-        sharded, sharded_clean = _measure(
-            args.workers, bodies, args.clients, args.engine_workers
-        )
-        _report(f"sharded (workers={args.workers})", sharded, sharded_clean)
-        results["serve_throughput"] = sharded.as_dict()
-        if sharded.elapsed:
-            ratio = single.elapsed / sharded.elapsed
-            results["serve_scaleout"] = round(ratio, 2)
-            print(f"serve_scaleout: {ratio:.2f}x")
-        if not (single_clean and sharded_clean):
-            print("warning: a server exited uncleanly", file=sys.stderr)
+        if not clean:
+            print("warning: the server exited uncleanly", file=sys.stderr)
             return 1
-        if single.errors or sharded.errors:
+        if single.errors:
             print("warning: client errors observed", file=sys.stderr)
             return 1
     if args.json:

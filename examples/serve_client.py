@@ -71,8 +71,6 @@ def spawn_server(port_file: Path) -> subprocess.Popen:
             "0",
             "--port-file",
             str(port_file),
-            "--workers",
-            "0",
         ],
         env=env,
     )

@@ -12,7 +12,6 @@ Subcommands::
     python -m repro validate --static --loops 200   # prove ALL points, no sim
     python -m repro lint                            # repo invariant lints
     python -m repro serve --port 8357             # the HTTP/JSON API
-    python -m repro serve --workers 4             # scale-out: 4 shard processes
     python -m repro bench --json BENCH.json --loops 200
     python -m repro bench --baseline benchmarks/baseline-ci.json --loops 8
     python -m repro cache show
@@ -107,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve_p = sub.add_parser(
         "serve",
-        help="serve the typed JSON API over HTTP (shared cache + workers)",
+        help="serve the typed JSON API over HTTP (one shared session + cache)",
     )
     serve_p.add_argument(
         "--host",
@@ -132,24 +131,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="log each HTTP request to stderr",
     )
     serve_p.add_argument(
-        "--workers",
-        type=non_negative_int,
-        default=0,
-        metavar="N",
-        help=(
-            "worker *processes* sharing the port and the on-disk result "
-            "cache; 0 serves single-process (default: 0)"
-        ),
-    )
-    serve_p.add_argument(
         "--engine-workers",
         type=non_negative_int,
         default=0,
         metavar="N",
         help=(
-            "compute worker processes per serving process (default: 0, "
-            "i.e. in-process evaluation; serve shards usually are the "
-            "parallelism)"
+            "compute worker processes of the server's engine (default: "
+            "0, i.e. in-process evaluation)"
         ),
     )
     serve_p.add_argument(
@@ -158,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_INFLIGHT,
         metavar="N",
         help=(
-            "per-process bound on concurrently admitted requests; over "
+            "bound on concurrently admitted requests; over "
             f"it the server answers 429 + Retry-After; 0 disables "
             f"(default: {DEFAULT_MAX_INFLIGHT})"
         ),
@@ -169,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.0,
         metavar="R",
         help=(
-            "per-process token-bucket rate limit, requests/second "
+            "token-bucket rate limit, requests/second "
             "sustained; 0 disables (default: 0)"
         ),
     )
@@ -187,8 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help=(
-            "disable the on-disk result cache (in scale-out mode this "
-            "also forfeits cross-process result sharing)"
+            "disable the on-disk result cache (results are then shared "
+            "only within this server process)"
         ),
     )
     serve_p.add_argument(
@@ -544,7 +532,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ServeConfig(
             host=args.host,
             port=args.port,
-            workers=args.workers,
             engine_workers=args.engine_workers,
             cache_dir=cache_dir,
             max_inflight=args.max_inflight,

@@ -1,14 +1,13 @@
 """Load generation for the serve front-end, shared by bench and CI.
 
 Three pieces, reused by ``python -m repro bench`` (the informational
-``serve_single`` / ``serve_throughput`` scenarios), by
-``benchmarks/bench_serve.py`` (the standalone load harness), and by the
-CI smoke step:
+``serve_single`` scenario), by ``benchmarks/bench_serve.py`` (the
+standalone load harness), and by the CI smoke step:
 
 * :func:`build_workload` -- deterministic request bodies off the bench
   grid (:func:`repro.bench.bench_grid`'s loops x models x budgets), in
   loop-major order so concurrently in-flight requests tend to share a
-  loop and coalesce under the shard dispatcher's grid batching.
+  loop, and with it the session's memoized chain.
 * :class:`ServerProcess` -- spawn ``python -m repro serve`` as a
   subprocess, wait for the port file, shut it down cleanly (and verify
   it *was* clean).
@@ -56,12 +55,12 @@ def build_workload(
     ``warm``: the same bodies (run it against a primed server: all hits).
     ``mixed``: two copies of the grid, deterministically shuffled -- every
     point appears twice, so roughly half the requests are satisfiable
-    from the shared cache (or deduped within a coalesced batch) once its
-    twin has landed.
+    from the shared cache once its twin has landed.
 
     Bodies are loop-major (all points of loop *i* adjacent), matching the
     bench driver's order, so whatever slice of the list is in flight at
-    once mostly shares a loop -- the case grid batching rewards.
+    once mostly shares a loop -- the case the session's chain memo
+    rewards.
     """
     from repro.bench import BUDGETS, LATENCY, MODELS
 
@@ -268,7 +267,6 @@ class ServerProcess:
 
     def __init__(
         self,
-        workers: int = 0,
         cache_dir: str | None = None,
         engine_workers: int = 0,
         max_inflight: int | None = None,
@@ -276,7 +274,6 @@ class ServerProcess:
         extra_args: tuple[str, ...] = (),
         startup_timeout: float = 30.0,
     ) -> None:
-        self.workers = workers
         self.cache_dir = cache_dir
         self.engine_workers = engine_workers
         self.max_inflight = max_inflight
@@ -303,8 +300,6 @@ class ServerProcess:
             "0",
             "--port-file",
             str(port_file),
-            "--workers",
-            str(self.workers),
             "--engine-workers",
             str(self.engine_workers),
             "--cache-dir",

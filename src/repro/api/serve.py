@@ -1,22 +1,12 @@
 """``python -m repro serve`` -- the facade over a socket, many clients.
 
-Two topologies behind one wire protocol:
-
-* **Single process** (``--workers 0``, the default): a stdlib
-  :class:`~http.server.ThreadingHTTPServer` whose request threads share
-  one :class:`~repro.api.session.Session` -- the PR 5 front-end,
-  unchanged semantics, good for development and tests.
-* **Scale-out** (``--workers N``): a supervisor binds the listening
-  socket once and forks N *shard* processes that accept from it
-  concurrently (the kernel load-balances connections across acceptors;
-  on platforms without ``fork`` each shard rebinds the port with
-  ``SO_REUSEPORT``).  Every shard owns a private session/engine but all
-  of them mount the **same on-disk result cache**
-  (:mod:`repro.engine.cache`'s shared backend), so a point evaluated by
-  any shard -- or by any earlier run -- is a cache hit for all of them.
-  Shards additionally *coalesce* concurrently-arriving requests into
-  single engine batches (:class:`repro.api.dispatch.BatchDispatcher`),
-  which lets the engine's grid batching work across HTTP requests.
+One process: a stdlib :class:`~http.server.ThreadingHTTPServer` whose
+request threads share one :class:`~repro.api.session.Session`, so every
+client shares its result cache and its memo of loop chains.  The session
+mounts the on-disk result cache (:mod:`repro.engine.cache`'s shared
+backend), so a point any CLI run or any other server over the same
+directory evaluated is a cache hit here too.  More cores are reached by
+running independent servers on separate ports over one ``--cache-dir``.
 
 Wire protocol (HTTP/JSON; see ``docs/api.md``):
 
@@ -27,18 +17,18 @@ Wire protocol (HTTP/JSON; see ``docs/api.md``):
   ``point`` event per finished grid point (bursting per loop group under
   the batch tier), then one ``result`` event carrying the full sweep
   response.
-* ``GET /v1/health`` -- liveness plus live session counters, this
-  worker's queue depth, the shared disk cache's size, the pool
-  configuration, and (scale-out) per-worker heartbeats.
+* ``GET /v1/health`` -- liveness plus live session counters, the
+  in-flight request count, the disk cache's size and the pool
+  configuration.
 * ``GET /v1/experiments`` / ``GET /v1/capabilities`` -- discovery.
-* ``POST /v1/shutdown`` -- graceful stop; in scale-out mode the
-  receiving shard exits 0 and the supervisor winds down the rest.
+* ``POST /v1/shutdown`` -- graceful stop: in-flight requests finish,
+  then the process exits 0.
 
 Every response is an envelope: ``{"ok": true, "result": {...}}`` on
 success, ``{"ok": false, "error": {"type", "message", "status"}}`` on
 failure, with the HTTP status matching the error's.  Unknown schema
 versions, unknown fields, and malformed JSON are 400s; an oversized body
-is a 413; a saturated worker (in-flight bound hit or token bucket empty)
+is a 413; a saturated server (in-flight bound hit or token bucket empty)
 is a 429 with a ``Retry-After`` header -- never a stack trace on the
 socket.
 """
@@ -47,18 +37,15 @@ from __future__ import annotations
 
 import gc
 import json
-import multiprocessing
 import os
 import signal
-import socket
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
-from repro.api.dispatch import BatchDispatcher, InflightGate, TokenBucket
+from repro.api.dispatch import InflightGate, TokenBucket
 from repro.api.registry import capabilities, list_experiments
 from repro.api.session import Session
 from repro.api.types import (
@@ -75,10 +62,10 @@ from repro.api.types import (
 #: either a mistake or abuse and dies (as HTTP 413) before being buffered.
 MAX_BODY_BYTES = 1 << 20
 
-#: Default bound on concurrently admitted requests per worker process.
+#: Default bound on concurrently admitted requests.
 DEFAULT_MAX_INFLIGHT = 64
 
-#: Listen backlog of every topology.  socketserver's default of 5 makes
+#: Listen backlog of the server.  socketserver's default of 5 makes
 #: the kernel drop connection bursts, which clients only notice as ~1 s
 #: SYN-retransmit stalls.
 LISTEN_BACKLOG = 256
@@ -86,116 +73,32 @@ LISTEN_BACKLOG = 256
 
 @dataclass
 class ServeConfig:
-    """Everything ``repro serve`` can be told, in one picklable bundle.
+    """Everything ``repro serve`` can be told, in one bundle.
 
-    ``workers=0`` serves single-process; ``workers>=1`` runs that many
-    shard processes.  ``engine_workers`` sizes each session's *compute*
-    pool (default 0: shards are the parallelism).  ``cache_dir=None``
-    keeps results in memory only -- in scale-out mode that forfeits
-    cross-shard sharing, so the CLI always passes a directory unless
-    ``--no-cache`` was explicit.
+    ``engine_workers`` sizes the session's *compute* pool (default 0:
+    in-process evaluation).  ``cache_dir=None`` keeps results in memory
+    only, shared by this server's clients but by no other process; the
+    CLI passes a directory unless ``--no-cache`` was explicit.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    workers: int = 0
     engine_workers: int = 0
     cache_dir: str | None = None
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     rate_limit: float = 0.0  # requests/second; 0 disables
     burst: float | None = None
-    linger: float = 0.002  # batch-coalescing window, seconds
-    coalesce: bool | None = None  # None: on for shards, off single-process
     port_file: str | None = None
     quiet: bool = True
 
     def pool_info(self) -> dict:
         """The health endpoint's ``pool`` section."""
         return {
-            "shards": self.workers,
             "engine_workers": self.engine_workers,
             "max_inflight": self.max_inflight,
             "rate_limit": self.rate_limit,
             "burst": self.burst,
-            "coalesce": bool(
-                self.coalesce if self.coalesce is not None else self.workers
-            ),
         }
-
-
-class WorkerHeartbeat:
-    """One shard's liveness record: an atomically-replaced JSON file.
-
-    Heartbeats are the scale-out health primitive: every shard keeps
-    ``<state_dir>/worker-<i>.json`` fresh (throttled to at most one
-    write per ``interval``), and any shard's ``/v1/health`` folds the
-    whole directory into a per-worker liveness table -- no shared memory,
-    no extra sockets, works across fork and respawn.
-    """
-
-    def __init__(
-        self, state_dir: Path, index: int, interval: float = 0.5
-    ) -> None:
-        self.state_dir = Path(state_dir)
-        self.index = index
-        self.interval = interval
-        self.started = time.time()
-        self.served = 0
-        self._last_write = 0.0
-        self._lock = threading.Lock()
-
-    @property
-    def path(self) -> Path:
-        return self.state_dir / f"worker-{self.index}.json"
-
-    def beat(
-        self, inflight: int = 0, queue_depth: int = 0, force: bool = False
-    ) -> None:
-        """Refresh the heartbeat file (throttled unless ``force``)."""
-        now = time.time()
-        with self._lock:
-            if not force and now - self._last_write < self.interval:
-                return
-            self._last_write = now
-        payload = json.dumps(
-            {
-                "index": self.index,
-                "pid": os.getpid(),
-                "started": self.started,
-                "served": self.served,
-                "inflight": inflight,
-                "queue_depth": queue_depth,
-                "updated": now,
-            }
-        )
-        tmp = self.path.with_name(f".tmp-{self.path.name}-{os.getpid()}")
-        try:
-            self.state_dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(payload, encoding="utf-8")
-            os.replace(tmp, self.path)
-        except OSError:  # heartbeats must never take a request down
-            tmp.unlink(missing_ok=True)
-
-    @staticmethod
-    def read_all(state_dir: Path) -> list[dict]:
-        """Every worker's last heartbeat, with a live-pid check folded in."""
-        workers = []
-        state_dir = Path(state_dir)
-        if not state_dir.is_dir():
-            return workers
-        for path in sorted(state_dir.glob("worker-*.json")):
-            try:
-                data = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue  # mid-replace or torn: skip this poll
-            pid = data.get("pid")
-            try:
-                os.kill(int(pid), 0)
-                data["alive"] = True
-            except (OSError, TypeError, ValueError):
-                data["alive"] = False
-            workers.append(data)
-        return workers
 
 
 class ReproServer(ThreadingHTTPServer):
@@ -206,11 +109,6 @@ class ReproServer(ThreadingHTTPServer):
     in-flight requests finish before the session (and its worker pool)
     is torn down; the per-connection socket timeout on the handler
     bounds how long an idle keep-alive connection can delay that join.
-
-    ``sock`` lends an already-listening socket (the scale-out
-    supervisor's, inherited across ``fork``); the server then skips its
-    own bind/activate.  ``allow_reuse_port`` is enabled when shards must
-    rebind the port themselves (non-fork platforms).
     """
 
     daemon_threads = False
@@ -224,36 +122,17 @@ class ReproServer(ThreadingHTTPServer):
         session: Session,
         quiet: bool = True,
         config: ServeConfig | None = None,
-        worker_index: int = 0,
-        state_dir: str | Path | None = None,
-        sock: socket.socket | None = None,
     ) -> None:
         self.session = session
         self.quiet = quiet
         self.config = config if config is not None else ServeConfig(
             host=address[0], port=address[1], quiet=quiet
         )
-        self.worker_index = worker_index
-        self.state_dir = Path(state_dir) if state_dir is not None else None
         self.gate = InflightGate(self.config.max_inflight)
         self.bucket = TokenBucket(
             self.config.rate_limit, burst=self.config.burst
         )
-        self.heartbeat = (
-            WorkerHeartbeat(self.state_dir, worker_index)
-            if self.state_dir is not None
-            else None
-        )
-        if sock is None:
-            super().__init__(address, _Handler)
-        else:
-            super().__init__(address, _Handler, bind_and_activate=False)
-            self.socket.close()  # the unbound one the base class made
-            self.socket = sock
-            self.server_address = sock.getsockname()
-            host, port = self.server_address[:2]
-            self.server_name = host
-            self.server_port = port
+        super().__init__(address, _Handler)
 
     @property
     def port(self) -> int:
@@ -368,19 +247,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _health(self) -> dict:
         server = self.server
         session = server.session
-        dispatcher = session.dispatcher
         payload = {
             "status": "serving",
             "schema_version": API_SCHEMA_VERSION,
             **session.stats(),
-            "worker": {
-                "index": server.worker_index,
-                "pid": os.getpid(),
-                "inflight": server.gate.depth,
-                "queue_depth": (
-                    dispatcher.queue_depth if dispatcher is not None else 0
-                ),
-            },
+            "worker": {"pid": os.getpid(), "inflight": server.gate.depth},
             "pool": server.config.pool_info(),
         }
         cache = session.engine.cache
@@ -389,14 +260,6 @@ class _Handler(BaseHTTPRequestHandler):
             if cache is not None and cache.directory is not None
             else None
         )
-        if server.state_dir is not None:
-            if server.heartbeat is not None:
-                server.heartbeat.beat(
-                    inflight=server.gate.depth,
-                    queue_depth=payload["worker"]["queue_depth"],
-                    force=True,
-                )
-            payload["workers"] = WorkerHeartbeat.read_all(server.state_dir)
         return payload
 
     # ------------------------------------------------------------------
@@ -468,17 +331,6 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # noqa: BLE001 - envelope, never a trace
             self._fail_exc(exc)
             return
-        finally:
-            if self.server.heartbeat is not None:
-                self.server.heartbeat.served += 1
-                self.server.heartbeat.beat(
-                    inflight=self.server.gate.depth,
-                    queue_depth=(
-                        self.server.session.dispatcher.queue_depth
-                        if self.server.session.dispatcher is not None
-                        else 0
-                    ),
-                )
         self._ok(response.to_dict())
 
     def _stream_sweep(self, request: SweepRequest) -> None:
@@ -536,7 +388,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 # ----------------------------------------------------------------------
-# Single-process serving
+# Serving
 # ----------------------------------------------------------------------
 def _freeze_heap() -> None:
     """Move the start-up heap out of the cyclic collector's reach.
@@ -568,7 +420,7 @@ def run_server(
     quiet: bool = True,
     config: ServeConfig | None = None,
 ) -> int:
-    """Serve single-process until shut down; returns 0.
+    """Serve ``session`` until shut down; returns 0.
 
     ``port=0`` binds an ephemeral port; ``port_file`` (written after the
     bind, removed on exit) lets scripts discover it without parsing
@@ -580,8 +432,6 @@ def run_server(
             host=host, port=port, port_file=port_file, quiet=quiet
         )
     server = ReproServer((host, port), session, quiet=quiet, config=config)
-    if config.coalesce:
-        session.dispatcher = BatchDispatcher(session, linger=config.linger)
     previous = _graceful_signals(server)
     if port_file:
         Path(port_file).write_text(str(server.port), encoding="utf-8")
@@ -609,187 +459,8 @@ def run_server(
     return 0
 
 
-# ----------------------------------------------------------------------
-# Scale-out serving: supervisor + shard processes
-# ----------------------------------------------------------------------
-def _shard_main(
-    config: ServeConfig,
-    index: int,
-    state_dir: str,
-    sock: socket.socket | None,
-    port: int,
-) -> None:
-    """One shard: private session + dispatcher over the shared cache.
-
-    Runs in a child process.  ``sock`` is the supervisor's listening
-    socket (fork platforms); otherwise the shard rebinds ``port`` with
-    ``SO_REUSEPORT``.  Exits 0 on graceful shutdown (signal or
-    ``POST /v1/shutdown``).
-    """
-    from repro.engine.cache import ResultCache
-    from repro.engine.pool import Engine
-
-    engine = Engine(
-        workers=config.engine_workers,
-        cache=ResultCache(directory=config.cache_dir),
-    )
-    session = Session(engine=engine)
-    coalesce = config.coalesce if config.coalesce is not None else True
-    if coalesce:
-        session.dispatcher = BatchDispatcher(session, linger=config.linger)
-    if sock is None:
-        # Non-fork platform: every shard binds the same concrete port.
-        ReproServer.allow_reuse_port = True  # picked up by server_bind
-    server = ReproServer(
-        (config.host, port),
-        session,
-        quiet=config.quiet,
-        config=config,
-        worker_index=index,
-        state_dir=state_dir,
-        sock=sock,
-    )
-
-    def _graceful(signum: int, frame: object) -> None:  # pragma: no cover
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _graceful)
-    signal.signal(signal.SIGINT, _graceful)
-    _freeze_heap()
-    server.heartbeat.beat(force=True)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
-        session.close()
-        server.heartbeat.beat(force=True)
-
-
-def run_sharded(config: ServeConfig) -> int:
-    """Supervise ``config.workers`` shard processes; returns 0.
-
-    The supervisor binds (and listens on) the socket once, forks the
-    shards, then only watches: a shard that exits 0 asked for shutdown
-    (``POST /v1/shutdown``), so the rest are wound down too; a shard
-    that dies any other way is respawned.  Three consecutive deaths
-    within a second of (re)spawn are a crash loop -- a configuration
-    problem respawn cannot fix -- so the supervisor winds everything
-    down and exits non-zero instead of flapping forever.
-    """
-    import tempfile
-
-    can_fork = multiprocessing.get_start_method(allow_none=False) == "fork"
-    if not can_fork and not hasattr(socket, "SO_REUSEPORT"):
-        raise RuntimeError(
-            "scale-out serve needs fork or SO_REUSEPORT; "
-            "run with --workers 0 on this platform"
-        )
-    listener = socket.create_server(
-        (config.host, config.port),
-        backlog=LISTEN_BACKLOG,
-        reuse_port=not can_fork,
-    )
-    port = listener.getsockname()[1]
-    state_dir = tempfile.mkdtemp(prefix="repro-serve-")
-    shard_sock = listener if can_fork else None
-
-    def spawn(index: int) -> multiprocessing.Process:
-        process = multiprocessing.Process(
-            target=_shard_main,
-            args=(config, index, state_dir, shard_sock, port),
-            name=f"repro-serve-shard-{index}",
-        )
-        process.start()
-        return process
-
-    shards = {i: (spawn(i), time.monotonic()) for i in range(config.workers)}
-    if not can_fork:
-        # The supervisor's socket was only there to resolve the port and
-        # hold it while shards bind; once they are up it must leave the
-        # reuseport group or it would swallow its share of connections.
-        time.sleep(0.2)
-        listener.close()
-    if config.port_file:
-        Path(config.port_file).write_text(str(port), encoding="utf-8")
-    print(
-        f"repro serve: listening on http://{config.host}:{port} "
-        f"with {config.workers} worker process(es) "
-        f"(schema v{API_SCHEMA_VERSION}; POST /v1/shutdown or Ctrl+C "
-        f"to stop)",
-        flush=True,
-    )
-
-    stop = threading.Event()
-    gave_up = False
-    quick_deaths = {index: 0 for index in shards}
-
-    def _stop_signal(signum: int, frame: object) -> None:  # pragma: no cover
-        stop.set()
-
-    previous_term = signal.signal(signal.SIGTERM, _stop_signal)
-    try:
-        while not stop.is_set():
-            for index, (process, started) in list(shards.items()):
-                if process.is_alive():
-                    continue
-                if process.exitcode == 0:
-                    # Graceful shutdown requested through this shard.
-                    stop.set()
-                    break
-                if time.monotonic() - started < 1.0:
-                    quick_deaths[index] += 1
-                else:
-                    quick_deaths[index] = 0
-                if quick_deaths[index] >= 3:
-                    print(
-                        f"repro serve: worker {index} keeps dying on "
-                        f"startup (exit {process.exitcode}); giving up",
-                        flush=True,
-                    )
-                    gave_up = True
-                    stop.set()
-                    break
-                print(
-                    f"repro serve: worker {index} died "
-                    f"(exit {process.exitcode}); respawning",
-                    flush=True,
-                )
-                shards[index] = (spawn(index), time.monotonic())
-            stop.wait(0.2)
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        for process, _started in shards.values():
-            if process.is_alive():
-                process.terminate()  # SIGTERM -> graceful in-shard
-        deadline = time.monotonic() + 10
-        for process, _started in shards.values():
-            process.join(timeout=max(0.1, deadline - time.monotonic()))
-            if process.is_alive():  # pragma: no cover - wedged shard
-                process.kill()
-                process.join(timeout=5)
-        if can_fork:
-            listener.close()
-        signal.signal(signal.SIGTERM, previous_term)
-        if config.port_file:
-            Path(config.port_file).unlink(missing_ok=True)
-        for path in Path(state_dir).glob("*"):
-            path.unlink(missing_ok=True)
-        try:
-            os.rmdir(state_dir)
-        except OSError:  # pragma: no cover - something still writing
-            pass
-    if gave_up:
-        print("repro serve: shut down after a worker crash loop", flush=True)
-        return 1
-    print("repro serve: shut down cleanly", flush=True)
-    return 0
-
-
 def serve(config: ServeConfig) -> int:
-    """Entry point the CLI calls: route on the topology."""
-    if config.workers >= 1:
-        return run_sharded(config)
+    """Entry point the CLI calls: one session over ``config``'s cache."""
     from repro.engine.cache import ResultCache
     from repro.engine.pool import Engine
 
@@ -816,8 +487,6 @@ __all__ = [
     "MAX_BODY_BYTES",
     "ReproServer",
     "ServeConfig",
-    "WorkerHeartbeat",
     "run_server",
-    "run_sharded",
     "serve",
 ]

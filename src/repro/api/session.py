@@ -115,16 +115,11 @@ class Session:
         self.ii_escalation = ii_escalation
         self._lock = threading.Lock()
         self.requests_served = 0
-        #: Optional :class:`repro.api.dispatch.BatchDispatcher`.  When
-        #: set (the scale-out serve workers do), single-job requests are
-        #: coalesced with concurrent ones into one engine batch instead
-        #: of mapping jobs one at a time under the lock.
-        self.dispatcher = None
         #: The :class:`~repro.kernel.batch.LoopChain` of each loop group a
         #: point request evaluated (at most ``CHAIN_MEMO_SIZE``, least
         #: recently used evicted first), so a loop's later requests walk
-        #: nodes an earlier one computed.  Only :meth:`_map_points` lends
-        #: it, under the session lock; sweeps, experiments and reports map
+        #: nodes an earlier one computed.  Only :meth:`_run_job` lends it,
+        #: under the session lock; sweeps, experiments and reports map
         #: without it.
         self.chains: dict[BatchKey, LoopChain] = {}
         # Fail on a bad session default now, not on the first request.
@@ -143,9 +138,6 @@ class Session:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release the engine's worker pool; the session stays usable."""
-        if self.dispatcher is not None:
-            self.dispatcher.close()
-            self.dispatcher = None
         self.engine.close()
 
     def __enter__(self) -> "Session":
@@ -163,28 +155,15 @@ class Session:
     def _run_job(self, job: EvalJob) -> tuple[JobResult, bool]:
         """Execute one engine job; returns ``(result, served_from_cache)``.
 
-        With a dispatcher installed the job rides a coalesced batch
-        (identical numbers; see :mod:`repro.api.dispatch`); either way
-        the ``cached`` flag is the engine's own per-position provenance,
-        not a stats-delta guess.
+        The job walks :attr:`chains` under the session lock (the memo is
+        not thread-safe).  The ``cached`` flag is the engine's own
+        per-position provenance, not a stats-delta guess.
         """
-        if self.dispatcher is not None:
-            return self.dispatcher.submit(job)
         flags: list[bool] = []
-        with self._lock:
-            result = self._map_points([job], flags)[0]
+        with self._lock, lent_chains(self.chains):
+            result = self.engine.map([job], cached_flags=flags)[0]
             self.requests_served += 1
         return result, flags[0]
-
-    def _map_points(
-        self, jobs: list[EvalJob], flags: list[bool]
-    ) -> list[JobResult]:
-        """``engine.map`` of request points, walking :attr:`chains`.
-
-        The caller holds the session lock: the memo is not thread-safe.
-        """
-        with lent_chains(self.chains):
-            return self.engine.map(jobs, cached_flags=flags)
 
     def stats(self) -> dict:
         """Live session counters (the serve front-end's health payload).

@@ -25,15 +25,9 @@ Scenarios:
   Informational only: it has no baseline ratio and is never gated.
 * ``serve_single`` -- the mixed serve workload (the bench grid at a
   fixed ``SERVE_LOOPS`` suite size, twice, shuffled) through one
-  single-process ``repro serve`` instance: the per-request baseline
-  topology;
-* ``serve_throughput`` -- the same workload against a scale-out server
-  (``--workers`` shard processes, min 2, sharing one disk cache, each
-  coalescing concurrent requests into engine batches).  Both serve
-  scenarios spawn real subprocess servers on ephemeral ports and drive
-  them with persistent-connection clients (:mod:`repro.api.loadtest`).
-  They are informational: their relative speed mostly measures the
-  host's core count, so no ratio is derived from them.
+  ``repro serve`` subprocess on an ephemeral port, driven by
+  persistent-connection clients (:mod:`repro.api.loadtest`).
+  Informational: no ratio is derived from it.
 
 The regression gate (``--baseline`` / ``--max-regression``) compares the
 hardware-independent ratios -- ``kernel_speedup`` (``cold_legacy /
@@ -84,18 +78,17 @@ SCENARIOS = (
     "simulate",
     "check",
     "serve_single",
-    "serve_throughput",
 )
 
-#: Clients driving the serve scenarios; enough concurrency for the shard
-#: dispatchers to form real batches, small enough for a 1-core CI host.
+#: Clients driving the serve scenario: enough concurrency that requests
+#: queue on the session lock, small enough for a 1-core CI host.
 SERVE_CLIENTS = 32
 
 #: Suite size of the serve workload, fixed regardless of ``--loops``.
-#: The serve scenarios measure the *serving stack* -- HTTP dispatch,
-#: admission, cross-request coalescing, the shared cache -- under a
-#: standardized request mix, so their numbers stay comparable between the
-#: CI snapshot and the full BENCH.json run.  Scaling grid compute is what
+#: The serve scenario measures the *serving stack* -- HTTP dispatch,
+#: admission, the chain memo, the shared cache -- under a standardized
+#: request mix, so its numbers stay comparable between the CI snapshot
+#: and the full BENCH.json run.  Scaling grid compute is what
 #: the cold/warm scenarios are for; folding it in here would just drown
 #: the serving overhead being measured.
 SERVE_LOOPS = 24
@@ -237,12 +230,7 @@ def run_bench(
             "workers": workers,
         }
 
-    serve_wanted = [
-        name
-        for name in ("serve_single", "serve_throughput")
-        if name in scenarios
-    ]
-    if serve_wanted:
+    if "serve_single" in scenarios:
         # Lazy import: the load harness spawns subprocess servers and has
         # no business on the import graph of a plain bench run.
         from repro.api.loadtest import (
@@ -254,38 +242,31 @@ def run_bench(
 
         bodies = build_workload("mixed", SERVE_LOOPS)
 
-        def _serve_stats(shards: int) -> LoadStats:
-            """Best-of-``repeats`` load run; fresh server+cache each time."""
-            best = None
-            for _ in range(repeats):
-                with ServerProcess(workers=shards) as server:
-                    stats = run_load(
-                        server.url, bodies, clients=SERVE_CLIENTS
-                    )
-                    clean = server.shutdown()
-                if stats.errors or not clean:
-                    raise RuntimeError(
-                        f"serve bench (workers={shards}) failed: "
-                        f"{stats.errors} error(s), clean_exit={clean}: "
-                        f"{stats.error_samples[:3]}"
-                    )
-                if best is None or stats.elapsed < best.elapsed:
-                    best = stats
-            return best
+        def _load_run() -> LoadStats:
+            """One load run against a fresh server and cache."""
+            with ServerProcess() as server:
+                stats = run_load(server.url, bodies, clients=SERVE_CLIENTS)
+                clean = server.shutdown()
+            if stats.errors or not clean:
+                raise RuntimeError(
+                    f"serve bench failed: {stats.errors} error(s), "
+                    f"clean_exit={clean}: {stats.error_samples[:3]}"
+                )
+            return stats
 
-        for name in serve_wanted:
-            shards = 0 if name == "serve_single" else max(2, workers)
-            stats = _serve_stats(shards)
-            results[name] = {
-                "seconds": round(stats.elapsed, 4),
-                "points": stats.requests,
-                "points_per_sec": round(stats.points_per_sec, 1),
-                "shards": shards,
-                "clients": SERVE_CLIENTS,
-                "loops": SERVE_LOOPS,
-                "p50_ms": round(stats.p50_ms, 2),
-                "p99_ms": round(stats.p99_ms, 2),
-            }
+        best = min(
+            (_load_run() for _ in range(repeats)),
+            key=lambda stats: stats.elapsed,
+        )
+        results["serve_single"] = {
+            "seconds": round(best.elapsed, 4),
+            "points": best.requests,
+            "points_per_sec": round(best.points_per_sec, 1),
+            "clients": SERVE_CLIENTS,
+            "loops": SERVE_LOOPS,
+            "p50_ms": round(best.p50_ms, 2),
+            "p99_ms": round(best.p99_ms, 2),
+        }
 
     # Lazy import: repro.report pulls in the experiment drivers, which a
     # bench run needs only for this one provenance string.
@@ -328,11 +309,8 @@ def format_snapshot(snapshot: dict) -> str:
         label = name
         if "workers" in data:
             label = f"{name} (workers={data['workers']})"
-        elif "shards" in data:
-            label = (
-                f"{name} (shards={data['shards']}, "
-                f"clients={data['clients']})"
-            )
+        elif "clients" in data:
+            label = f"{name} (clients={data['clients']})"
         rows.append(
             (label, data["seconds"], data["points"], data["points_per_sec"])
         )

@@ -23,7 +23,8 @@ Each rule guards an invariant some subsystem silently depends on:
     threads and serialized by content; all must be ``frozen=True``.
 
 ``cache-locking``
-    Disk-cache file removal races the sharded serve workers; multi-file
+    Disk-cache file removal races every other process over the same
+    cache directory (CLI runs, pool workers, servers); multi-file
     maintenance must run under the flock seam (``_maintenance_lock``).
     Only the single-file-safe operations (corrupt-entry removal in
     ``_read_disk``, tmp cleanup in ``put``/``clean_stale_tmp``) may
@@ -326,7 +327,7 @@ def _check_cache_locking(path: str, tree: ast.Module) -> list[LintViolation]:
                         message=(
                             f"{fn.name}() calls .{removal}() outside "
                             "'with _maintenance_lock(...)'; concurrent "
-                            "serve shards race unlocked removal (or add "
+                            "cache users race unlocked removal (or add "
                             "the function to the single-file-safe "
                             "allowlist with a justification)"
                         ),

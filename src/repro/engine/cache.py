@@ -8,8 +8,9 @@ miss, deleted, and counted in :attr:`CacheStats.corrupt` -- a damaged cache
 degrades to recomputation, never to wrong numbers.
 
 The disk tier is a **shared backend**: any number of processes (sweep
-workers, ``repro serve`` shards, separate CLI invocations, restarts) may
-read and write the same directory concurrently.  The concurrency contract
+workers, separate CLI invocations, ``repro serve`` processes over one
+``--cache-dir``, restarts) may read and write the same directory
+concurrently.  The concurrency contract
 rests on three properties:
 
 * **Atomic publication.**  Writes land in a same-directory temp file and

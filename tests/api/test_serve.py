@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.api import API_SCHEMA_VERSION, Session
+from repro.api.loadtest import ServerProcess
 from repro.api.serve import (
     LISTEN_BACKLOG,
     MAX_BODY_BYTES,
@@ -232,6 +233,29 @@ class TestSharedCache:
         assert health["result"]["cache"]["hits"] >= 5
         assert health["result"]["requests_served"] >= 6
 
+    def test_servers_over_one_cache_directory_share_results(self, tmp_path):
+        """Independent servers over one ``--cache-dir`` share every point."""
+        from repro.engine.cache import ResultCache
+        from repro.engine.pool import Engine
+
+        spawned = []
+        for _ in range(2):
+            session = Session(
+                engine=Engine(cache=ResultCache(directory=tmp_path))
+            )
+            instance = ReproServer(("127.0.0.1", 0), session)
+            spawned.append((session, instance, _serve_thread(instance)))
+        (_, a, _), (_, b, _) = spawned
+        try:
+            _, first = _request(a, "POST", "/v1/evaluate", EVALUATE)
+            _, second = _request(b, "POST", "/v1/evaluate", EVALUATE)
+        finally:
+            for session, instance, thread in spawned:
+                _teardown(session, instance, thread)
+        assert first["result"]["cached"] is False
+        assert second["result"]["cached"] is True
+        assert second["result"] == dict(first["result"], cached=True)
+
 
 class TestSocketLatency:
     """Cache hits cost milliseconds on the wire, not a delayed-ACK wait."""
@@ -386,7 +410,7 @@ class TestHealthDetails:
         session = Session(
             engine=Engine(cache=ResultCache(directory=tmp_path / "cache"))
         )
-        config = ServeConfig(workers=0, max_inflight=7, cache_dir="x")
+        config = ServeConfig(max_inflight=7, cache_dir="x")
         instance = ReproServer(("127.0.0.1", 0), session, config=config)
         thread = _serve_thread(instance)
         try:
@@ -394,11 +418,9 @@ class TestHealthDetails:
             status, body = _request(instance, "GET", "/v1/health")
             assert status == 200
             result = body["result"]
-            assert result["worker"]["index"] == 0
             assert result["worker"]["pid"] > 0
             assert result["worker"]["inflight"] >= 0
             assert result["pool"]["max_inflight"] == 7
-            assert result["pool"]["shards"] == 0
             assert result["disk_cache"]["entries"] >= 1
             assert result["disk_cache"]["bytes"] > 0
         finally:
@@ -419,3 +441,10 @@ class TestShutdown:
         finally:
             instance.server_close()
             session.close()
+
+    def test_sigterm_is_a_clean_exit(self):
+        with ServerProcess() as server:
+            assert server.request("evaluate", EVALUATE)[0] == 200
+            server.process.terminate()
+            server.process.wait(timeout=30)
+            assert server.process.returncode == 0

@@ -187,7 +187,6 @@ class TestCli:
             "simulate",
             "check",
             "serve_single",
-            "serve_throughput",
         )
 
     def test_gate_notes_stale_baseline(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The disk cache as a shared backend: races, crashes, maintenance.
 
-The serve shards (and any number of CLI invocations) mount one cache
+Any number of CLI invocations and `repro serve` processes mount one cache
 directory concurrently; these tests pin the three contract points the
 module docstring promises -- atomic publication (no torn reads), crash
 recovery (``.tmp-*`` orphans and truncated entries degrade to

@@ -157,7 +157,7 @@ class TestChainMemo:
     """``execute_batch`` keeps chains only in a lent memo.
 
     A session lends its memo around its point requests
-    (``Session._map_points``); ``run_jobs`` and ``Engine.map`` alone keep
+    (``Session._run_job``); ``run_jobs`` and ``Engine.map`` alone keep
     nothing between calls.
     """
 

@@ -42,7 +42,7 @@ class TestMainRejectsBadCounts:
             ["sweep", "--loops", "-3"],
             ["sweep", "--workers", "-2"],
             ["serve", "--port", "-1"],
-            ["serve", "--workers", "-1"],
+            ["serve", "--engine-workers", "-1"],
             ["--loops", "0"],  # backward-compat implicit "run"
         ],
     )

@@ -3,6 +3,7 @@
 ``repro/__init__`` resolves its public names lazily (PEP 562), so the proof,
 the kernel, the engine and the bench harness import without the HTTP
 front-end, the report, the experiment drivers or :mod:`multiprocessing`.
+The server imports no :mod:`multiprocessing` either: it is one process.
 The facade itself still exports every name of ``__all__``.
 """
 
@@ -48,16 +49,25 @@ print(json.dumps(sorted(m for m in json.loads(sys.argv[2]) if m in sys.modules))
     ],
 )
 def test_subpackage_import_stays_small(module):
+    assert loaded_by(module, HEAVY) == []
+
+
+def loaded_by(module: str, watched: tuple[str, ...]) -> list[str]:
+    """Which of ``watched`` a fresh interpreter loads importing ``module``."""
     env = dict(os.environ, PYTHONPATH=SRC)
     result = subprocess.run(
-        [sys.executable, "-c", PROBE, module, json.dumps(HEAVY)],
+        [sys.executable, "-c", PROBE, module, json.dumps(watched)],
         capture_output=True,
         text=True,
         timeout=120,
         env=env,
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == []
+    return json.loads(result.stdout)
+
+
+def test_server_import_loads_no_multiprocessing():
+    assert loaded_by("repro.api.serve", ("multiprocessing",)) == []
 
 
 def type_checking_imports() -> dict[str, str]:
