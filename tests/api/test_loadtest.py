@@ -60,3 +60,17 @@ class TestLoadHarness:
         assert stats.errors == 0, stats.error_samples
         assert stats.requests == len(bodies)
         assert stats.throttled > 0
+
+    def test_load_run_is_error_free_and_complete(self):
+        with ServerProcess() as server:
+            bodies = build_workload("cold", 4)
+            stats = run_load(server.url, bodies, clients=8)
+            warm = run_load(server.url, bodies, clients=8)
+            health = server.request("health")[1]["result"]
+            assert server.shutdown() is True
+        for run in (stats, warm):
+            assert run.errors == 0, run.error_samples
+            assert run.requests == len(bodies)
+            assert run.p99_ms > 0
+        # The warm round was served from the one server's cache.
+        assert health["cache"]["hits"] >= len(bodies)

@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import os
 import statistics
 import threading
 import time
@@ -18,6 +19,7 @@ from repro.api.serve import (
     MAX_BODY_BYTES,
     ReproServer,
     ServeConfig,
+    run_server,
 )
 
 
@@ -426,6 +428,37 @@ class TestHealthDetails:
         finally:
             _teardown(session, instance, thread)
 
+    def test_health_describes_one_process(self, server):
+        status, body = _request(server, "GET", "/v1/health")
+        assert status == 200
+        result = body["result"]
+        assert result["worker"]["pid"] == os.getpid()
+        assert "workers" not in result and "queue_depth" not in result
+        assert set(result["pool"]) == {
+            "engine_workers",
+            "max_inflight",
+            "rate_limit",
+            "burst",
+        }
+
+
+class TestServeConfig:
+    def test_scale_out_knobs_are_not_accepted(self):
+        for knob in ("workers", "linger", "coalesce"):
+            with pytest.raises(TypeError):
+                ServeConfig(**{knob: 1})
+
+    def test_pool_info_mirrors_the_config(self):
+        config = ServeConfig(
+            engine_workers=2, max_inflight=9, rate_limit=5.0, burst=3.0
+        )
+        assert config.pool_info() == {
+            "engine_workers": 2,
+            "max_inflight": 9,
+            "rate_limit": 5.0,
+            "burst": 3.0,
+        }
+
 
 class TestShutdown:
     def test_shutdown_endpoint_stops_the_loop(self):
@@ -448,3 +481,39 @@ class TestShutdown:
             server.process.terminate()
             server.process.wait(timeout=30)
             assert server.process.returncode == 0
+
+    def test_wire_shutdown_is_a_clean_exit(self):
+        with ServerProcess() as server:
+            pid = server.process.pid
+            assert server.request("evaluate", EVALUATE)[0] == 200
+            assert server.shutdown() is True
+            assert server.process.returncode == 0
+        with pytest.raises(OSError):  # the process is really gone
+            os.kill(pid, 0)
+
+    def test_port_file_lives_exactly_as_long_as_the_server(
+        self, tmp_path, capsys
+    ):
+        port_file = tmp_path / "port.txt"
+        outcome = []
+        thread = threading.Thread(
+            target=lambda: outcome.append(
+                run_server(Session(), port=0, port_file=str(port_file))
+            ),
+            daemon=True,
+        )
+        thread.start()
+        deadline = time.monotonic() + 30
+        while not port_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        port = int(port_file.read_text(encoding="utf-8"))
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/v1/shutdown", data=b"{}", method="POST"
+        )
+        with urllib.request.urlopen(request, timeout=30) as response:
+            assert response.status == 200
+        thread.join(timeout=30)
+        assert not thread.is_alive(), "serve loop still running"
+        assert outcome == [0]
+        assert not port_file.exists()
+        assert "shut down cleanly" in capsys.readouterr().out

@@ -19,6 +19,8 @@ from repro.api import (
     UnknownExperimentError,
 )
 from repro.core.models import Model
+from repro.engine.jobs import evaluate_job
+from repro.engine.pool import run_jobs
 from repro.engine.sweep import format_outcome, named_sweep, run_sweep
 from repro.machine.config import paper_config
 from repro.pipeline.pipelines import run_evaluation, run_pressure
@@ -113,6 +115,51 @@ class TestChainMemo:
     def test_sweeps_leave_the_memo_empty(self, session):
         session.sweep(SweepRequest(name="rf-size", n_loops=3))
         assert session.chains == {}
+
+
+class TestRunJob:
+    """A point request is one engine call under the session lock."""
+
+    @staticmethod
+    def _job(budget=16):
+        return evaluate_job(
+            make_kernel("hydro_fragment"), paper_config(3), Model.SWAPPED,
+            budget,
+        )
+
+    def test_result_matches_run_jobs_then_hits(self, session):
+        job = self._job()
+        result, cached = session._run_job(job)
+        assert not cached
+        assert result == run_jobs([job], workers=0, cache=None)[0]
+        again, cached = session._run_job(job)
+        assert cached  # the engine's provenance flag, not a guess
+        assert again == result
+
+    def test_engine_failure_reaches_the_caller(self, session):
+        served = session.requests_served
+        with pytest.raises(AttributeError):
+            session._run_job(object())  # not an EvalJob: the engine chokes
+        assert session.requests_served == served
+        # The lock was released: the next request runs.
+        assert session.pressure(PressureRequest(loop=DAXPY)).unified > 0
+
+    def test_concurrent_points_are_each_counted_once(self, session):
+        requests = [
+            EvaluateRequest(loop=DAXPY, model="unified", register_budget=b)
+            for b in (8, 12, 16, 20)
+        ] * 2
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(session.evaluate, requests))
+        assert session.requests_served == len(requests)
+        assert session.engine.cache.stats.hits >= 4
+
+    def test_session_stays_usable_after_close(self, session):
+        first = session.pressure(PressureRequest(loop=DAXPY))
+        session.close()
+        again = session.pressure(PressureRequest(loop=DAXPY))
+        assert again.cached
+        assert again.unified == first.unified
 
 
 class TestSessionDefaults:

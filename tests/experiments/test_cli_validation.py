@@ -66,3 +66,42 @@ class TestMainRejectsBadCounts:
         err = capsys.readouterr().err
         assert "--policy/--escalation" in err
         assert "victim_policies" not in err
+
+
+class TestServeCommand:
+    """``repro serve`` hands its flags to one single-process server."""
+
+    @pytest.fixture()
+    def configs(self, monkeypatch):
+        from repro.api import serve as serve_module
+
+        seen = []
+        monkeypatch.setattr(
+            serve_module, "serve", lambda config: seen.append(config) or 0
+        )
+        return seen
+
+    def test_flags_reach_the_serve_config(self, configs, tmp_path):
+        argv = [
+            "serve", "--port", "0", "--engine-workers", "2",
+            "--max-inflight", "5", "--rate-limit", "7.5", "--burst", "3",
+            "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        (config,) = configs
+        assert (config.port, config.engine_workers, config.max_inflight) == (
+            0, 2, 5
+        )
+        assert (config.rate_limit, config.burst) == (7.5, 3.0)
+        assert config.cache_dir == str(tmp_path)
+
+    def test_no_cache_keeps_results_in_memory(self, configs):
+        assert main(["serve", "--port", "0", "--no-cache"]) == 0
+        assert configs[0].cache_dir is None
+
+    def test_workers_flag_is_gone(self, configs, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert configs == []

@@ -70,6 +70,11 @@ def test_server_import_loads_no_multiprocessing():
     assert loaded_by("repro.api.serve", ("multiprocessing",)) == []
 
 
+def test_load_harness_import_loads_no_multiprocessing():
+    """Benchmark workers import ``percentile`` from the load harness."""
+    assert loaded_by("repro.api.loadtest", ("multiprocessing",)) == []
+
+
 def type_checking_imports() -> dict[str, str]:
     """Name -> module of the ``if TYPE_CHECKING:`` imports type checkers read."""
     tree = ast.parse(Path(repro.__file__).read_text())
