@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "run the repo's AST lint rules (determinism, frozen wire "
-            "types, cache-locking, registry completeness, typing)"
+            "types, registry completeness, typing)"
         ),
     )
     lint_p.add_argument(

@@ -22,14 +22,6 @@ Each rule guards an invariant some subsystem silently depends on:
     Every dataclass in ``api/types.py`` is a wire message shared across
     threads and serialized by content; all must be ``frozen=True``.
 
-``cache-locking``
-    Disk-cache file removal races every other process over the same
-    cache directory (CLI runs, pool workers, servers); multi-file
-    maintenance must run under the flock seam (``_maintenance_lock``).
-    Only the single-file-safe operations (corrupt-entry removal in
-    ``_read_disk``, tmp cleanup in ``put``/``clean_stale_tmp``) may
-    unlink without it.
-
 ``experiment-keywords``
     Registry entries drive CLI flags, serve discovery, and the report;
     every ``Experiment(...)`` must be constructed with keyword arguments
@@ -67,12 +59,6 @@ DETERMINISTIC_PATHS: tuple[str, ...] = (
 #: Modules whose import makes output time- or host-dependent.
 NONDETERMINISTIC_MODULES: frozenset[str] = frozenset(
     {"time", "random", "uuid", "secrets", "datetime"}
-)
-
-#: engine/cache.py functions allowed to unlink without the flock seam
-#: (single-file-safe: corrupt-entry removal and own-tmp cleanup).
-UNLOCKED_UNLINK_FUNCTIONS: frozenset[str] = frozenset(
-    {"_read_disk", "put", "clean_stale_tmp"}
 )
 
 #: Keywords every Experiment(...) construction must pass.
@@ -260,76 +246,6 @@ def _check_frozen_wire_types(
                             f"wire dataclass {node.name} must be "
                             "@dataclass(frozen=True): messages are "
                             "shared across threads and hashed by content"
-                        ),
-                    )
-                )
-    return out
-
-
-def _with_calls_maintenance_lock(node: ast.With) -> bool:
-    for item in node.items:
-        expr = item.context_expr
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name == "_maintenance_lock":
-                return True
-    return False
-
-
-def _is_file_removal(node: ast.Call) -> str | None:
-    func = node.func
-    if isinstance(func, ast.Attribute) and func.attr in (
-        "unlink",
-        "rmtree",
-        "remove",
-    ):
-        return func.attr
-    return None
-
-
-@_rule(
-    "cache-locking",
-    "engine/cache.py multi-file removal runs under _maintenance_lock",
-)
-def _check_cache_locking(path: str, tree: ast.Module) -> list[LintViolation]:
-    if path != "engine/cache.py":
-        return []
-    out: list[LintViolation] = []
-    for fn in _walk_functions(tree):
-        if fn.name in UNLOCKED_UNLINK_FUNCTIONS:
-            continue
-        locked_spans: list[tuple[int, int]] = []
-        for node in ast.walk(fn):
-            if isinstance(node, ast.With) and _with_calls_maintenance_lock(
-                node
-            ):
-                locked_spans.append(
-                    (node.lineno, node.end_lineno or node.lineno)
-                )
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            removal = _is_file_removal(node)
-            if removal is None:
-                continue
-            line = node.lineno
-            if not any(lo <= line <= hi for lo, hi in locked_spans):
-                out.append(
-                    LintViolation(
-                        rule="cache-locking",
-                        path=path,
-                        line=line,
-                        message=(
-                            f"{fn.name}() calls .{removal}() outside "
-                            "'with _maintenance_lock(...)'; concurrent "
-                            "cache users race unlocked removal (or add "
-                            "the function to the single-file-safe "
-                            "allowlist with a justification)"
                         ),
                     )
                 )

@@ -3,7 +3,7 @@
 The engine turns every experiment into data: declarative
 :class:`~repro.engine.jobs.EvalJob` specs with deterministic content
 hashes, executed through a :class:`~repro.engine.pool.Engine` that fronts a
-:class:`~repro.engine.cache.ResultCache` (on-disk JSON + in-process LRU)
+:class:`~repro.engine.cache.ResultCache` (one SQLite file + in-process LRU)
 and a :mod:`multiprocessing` worker pool.  The figure/table drivers of
 :mod:`repro.experiments` all route their per-point evaluation through here,
 and :mod:`repro.engine.sweep` opens the same machinery to arbitrary

@@ -1,31 +1,34 @@
 """On-disk artifact store for job results, with an in-process LRU on top.
 
-Layout: one JSON file per result under ``<dir>/<key[:2]>/<key>.json`` (the
-two-character shard keeps directories small at paper scale).  Every file
-records the schema version and its own key; a file that fails to parse, was
-written under another schema, or does not match its name is treated as a
-miss, deleted, and counted in :attr:`CacheStats.corrupt` -- a damaged cache
-degrades to recomputation, never to wrong numbers.
+Layout: one SQLite database, ``<dir>/results.sqlite3``, with one row per
+result (:data:`TABLE`).  Every row records the schema version, and its
+payload names its own key; a row that fails to parse, was written under
+another schema, or names another key is treated as a miss, deleted, and
+counted in :attr:`CacheStats.corrupt` -- a damaged cache degrades to
+recomputation, never to wrong numbers.  So does an unusable database
+(unopenable, not a database, full, read-only, or locked past
+:data:`BUSY_TIMEOUT_S`): every disk operation that fails is a miss or an
+unstored put.
 
-The disk tier is a **shared backend**: any number of processes (sweep
-workers, separate CLI invocations, ``repro serve`` processes over one
-``--cache-dir``, restarts) may read and write the same directory
-concurrently.  The concurrency contract
-rests on three properties:
+The disk tier is a **shared backend**: any number of processes (separate
+CLI invocations, ``repro serve`` processes over one ``--cache-dir``,
+restarts) may read and write the same database concurrently.  The
+contract is SQLite's locking:
 
-* **Atomic publication.**  Writes land in a same-directory temp file and
-  are published with :func:`os.replace`, so a reader sees either the old
-  entry, no entry, or the complete new entry -- never a torn one.  A crash
-  mid-write leaves only a ``.tmp-*`` orphan (reclaimed by
-  :meth:`ResultCache.clean_stale_tmp`), not a truncated entry.
+* **Transactional publication.**  Each ``put`` is one autocommitted
+  ``INSERT OR REPLACE``, so a reader sees the old row, no row, or the
+  complete new row -- never a torn one; a writer killed inside its
+  transaction leaves no row.  In WAL mode readers never wait for writers.
 * **Content-addressed keys.**  Concurrent writers of one key are writing
   identical bytes (the key fingerprints the computation), so last-write-
   wins is not a race -- both replicas published the same result.
-* **Locked maintenance.**  Mutating sweeps (:meth:`ResultCache.prune`,
-  :meth:`ResultCache.evict_over_size`, :meth:`ResultCache.clear`) take an
-  advisory inter-process file lock so two long-lived replicas pruning the
-  same directory do not duplicate (or interleave) the work; reads and
-  writes never lock.
+* **Transactional maintenance.**  :meth:`ResultCache.prune`,
+  :meth:`ResultCache.evict_over_size` and :meth:`ResultCache.clear` are
+  one ``DELETE`` each, so racing sweeps remove every row exactly once.
+
+WAL needs shared memory between the processes, so the directory must be
+on a local filesystem.  Only the parent process of a pooled run touches
+the database; pool workers never open it.
 
 The in-process LRU makes repeated points *within* one run free even when
 the disk cache is disabled; it is bounded so paper-scale sweeps cannot
@@ -34,15 +37,16 @@ balloon resident memory.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
-import tempfile
-import time
+import threading
 from collections import OrderedDict
-from typing import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # imported on first disk access: grid and proof never pay
+    import sqlite3
 
 from repro.engine.jobs import (
     ENGINE_SCHEMA_VERSION,
@@ -55,42 +59,27 @@ from repro.engine.jobs import (
 
 DEFAULT_MEMORY_ENTRIES = 65536
 
-#: A ``.tmp-*`` file older than this is a crash leftover, not an in-flight
-#: write (writes are milliseconds), and is safe to reclaim.
-STALE_TMP_SECONDS = 3600.0
+#: The database file inside the cache directory.
+DB_NAME = "results.sqlite3"
 
+#: One row per result.  ``INSERT OR REPLACE`` gives a rewritten key a new
+#: rowid, so rowid order is least-recently-written order.
+TABLE = """CREATE TABLE IF NOT EXISTS results (
+    key TEXT PRIMARY KEY,
+    schema INTEGER NOT NULL,
+    source TEXT NOT NULL,
+    kind TEXT NOT NULL,
+    payload TEXT NOT NULL,
+    bytes INTEGER NOT NULL
+)"""
 
-@contextlib.contextmanager
-def _maintenance_lock(directory: Path) -> "Iterator[None]":
-    """Advisory inter-process lock for cache maintenance sweeps.
+#: How long a write waits for another process's transaction before the
+#: put is dropped (a miss for the next reader, never an error).
+BUSY_TIMEOUT_S = 1.0
 
-    Best-effort by design: on platforms without :mod:`fcntl` (or on
-    filesystems rejecting ``flock``) maintenance proceeds unlocked --
-    every individual deletion is already safe (``missing_ok``), the lock
-    only prevents two replicas from duplicating a sweep's work.
-    """
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX platform
-        yield
-        return
-    if not directory.is_dir():  # nothing to maintain, nothing to create
-        yield
-        return
-    lock_path = directory / ".maintenance.lock"
-    try:
-        handle = open(lock_path, "a+")
-    except OSError:  # read-only cache: sweep unlocked (it will no-op)
-        yield
-        return
-    try:
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        except OSError:  # pragma: no cover - flock-less filesystem
-            pass
-        yield
-    finally:
-        handle.close()
+#: Page cache per connection, in KiB: rows are read once per process (the
+#: LRU serves repeats), so a large cache would only add resident memory.
+PAGE_CACHE_KIB = 512
 
 
 def default_cache_dir() -> Path:
@@ -137,7 +126,7 @@ class CacheStats:
 
 @dataclass
 class ResultCache:
-    """Job-keyed result store: bounded in-memory LRU over on-disk JSON.
+    """Job-keyed result store: bounded in-memory LRU over one SQLite table.
 
     ``directory=None`` disables the disk tier (memory-only cache).
     """
@@ -146,17 +135,72 @@ class ResultCache:
     max_memory_entries: int = DEFAULT_MEMORY_ENTRIES
     stats: CacheStats = field(default_factory=CacheStats)
     _memory: OrderedDict[str, JobResult] = field(default_factory=OrderedDict)
+    _db: "sqlite3.Connection | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: Guards the connection: the health endpoint reads it outside the
+    #: session lock that serializes gets and puts.
+    _db_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        # Directory creation is deferred to the first put(): read-only uses
+        # The database is created on the first put(): read-only uses
         # (``cache show`` on a mistyped path) must not write anything.
         if self.directory is not None:
             self.directory = Path(self.directory)
 
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
+    def _connect(self, create: bool) -> "sqlite3.Connection | None":
+        import sqlite3
+
         assert self.directory is not None
-        return self.directory / key[:2] / f"{key}.json"
+        path = self.directory / DB_NAME
+        if not create and not path.exists():
+            return None
+        if create:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        db = sqlite3.connect(
+            path,
+            timeout=BUSY_TIMEOUT_S,
+            isolation_level=None,  # autocommit: one statement, one commit
+            check_same_thread=False,  # serialized by _db_lock instead
+        )
+        try:
+            db.execute("PRAGMA journal_mode=WAL")
+            db.execute("PRAGMA synchronous=NORMAL")
+            db.execute(f"PRAGMA cache_size=-{PAGE_CACHE_KIB}")
+            db.execute(TABLE)
+        except sqlite3.Error:
+            db.close()
+            raise
+        return db
+
+    def _sql(
+        self,
+        statement: str,
+        args: tuple[object, ...] = (),
+        create: bool = False,
+    ) -> tuple[list[Any], int] | None:
+        """Run one statement on the disk tier: ``(rows, rowcount)``.
+
+        ``None`` when the tier is off, absent (and ``create`` is false) or
+        failing -- every caller treats that as a miss or a no-op.
+        """
+        if self.directory is None:
+            return None
+        import sqlite3
+
+        with self._db_lock:
+            try:
+                if self._db is None:
+                    self._db = self._connect(create)
+                    if self._db is None:
+                        return None
+                cursor = self._db.execute(statement, args)
+                return cursor.fetchall(), cursor.rowcount
+            except (sqlite3.Error, OSError):
+                return None
 
     def _remember(self, key: str, result: JobResult) -> None:
         self._memory[key] = result
@@ -172,36 +216,32 @@ class ResultCache:
             self._memory.move_to_end(key)
             self.stats.hits += 1
             return self._memory[key]
-        if self.directory is not None:
-            result = self._read_disk(key)
-            if result is not None:
-                self._remember(key, result)
-                self.stats.hits += 1
-                return result
+        result = self._read_disk(key)
+        if result is not None:
+            self._remember(key, result)
+            self.stats.hits += 1
+            return result
         self.stats.misses += 1
         return None
 
     def _read_disk(self, key: str) -> JobResult | None:
-        path = self._path(key)
+        found = self._sql(
+            "SELECT rowid, schema, payload FROM results WHERE key = ?", (key,)
+        )
+        if not found or not found[0]:
+            return None  # no row, or an unusable database: a plain miss
+        rowid, schema, text = found[0][0]
         try:
-            text = path.read_text()
-        except OSError:
-            # Missing entry or transient I/O failure: a plain miss.  The
-            # file (if any) may be perfectly valid -- don't delete it.
-            return None
-        try:
-            payload = json.loads(text)
-            if payload["schema"] != ENGINE_SCHEMA_VERSION:
+            if schema != ENGINE_SCHEMA_VERSION:
                 raise ValueError("schema mismatch")
+            payload = json.loads(text)
             if payload["key"] != key:
                 raise ValueError("key mismatch")
             return result_from_dict(payload["result"])
         except (ValueError, KeyError, TypeError):
             self.stats.corrupt += 1
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:  # read-only cache: leave the bad entry be
-                pass
+            # By rowid: a valid row a concurrent writer just put survives.
+            self._sql("DELETE FROM results WHERE rowid = ?", (rowid,))
             return None
 
     def put(self, job: EvalJob, result: JobResult) -> None:
@@ -211,200 +251,124 @@ class ResultCache:
         if self.directory is None:
             self.stats.stores += 1
             return
-        payload = json.dumps(
-            {
-                "schema": ENGINE_SCHEMA_VERSION,
-                "source": source_fingerprint(),
-                "key": key,
-                "kind": job.kind,
-                "result": result_to_dict(result),
-            }
+        payload = json.dumps({"key": key, "result": result_to_dict(result)})
+        stored = self._sql(
+            "INSERT OR REPLACE INTO results VALUES (?, ?, ?, ?, ?, ?)",
+            (
+                key,
+                ENGINE_SCHEMA_VERSION,
+                source_fingerprint(),
+                job.kind,
+                payload,
+                len(payload),
+            ),
+            create=True,
         )
-        # An unwritable cache (read-only dir, disk full, path component is
-        # a file) must degrade to recomputation, never abort the run.
-        tmp = None
-        try:
-            path = self._path(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
+        if stored is not None:
             self.stats.stores += 1  # only what actually reached disk
-        except OSError:
-            if tmp is not None:
-                try:
-                    Path(tmp).unlink(missing_ok=True)
-                except OSError:  # pragma: no cover - doubly broken dir
-                    pass
 
     # ------------------------------------------------------------------
-    def _disk_files(self) -> list[Path]:
-        """Cache entries on disk, strictly matching the layout _path writes.
-
-        The shape check (2-hex shard dir, 64-hex name) keeps clear() from
-        ever touching foreign files under a mistyped ``--cache-dir``.
-        """
-        if self.directory is None or not self.directory.exists():
-            return []
-        hexdigits = set("0123456789abcdef")
-        return sorted(
-            p
-            for p in self.directory.glob("*/*.json")
-            if len(p.parent.name) == 2
-            and set(p.parent.name) <= hexdigits
-            and len(p.stem) == 64
-            and set(p.stem) <= hexdigits
-        )
-
-    def entry_count(self) -> int:
-        """Number of results on disk (memory-only entries excluded)."""
-        return len(self._disk_files())
-
-    def total_bytes(self) -> int:
-        total = 0
-        for p in self._disk_files():
-            try:
-                total += p.stat().st_size
-            except OSError:  # unlinked by a concurrent clear/recompute
-                continue
-        return total
-
     def disk_usage(self) -> dict:
         """Entry count and byte total of the disk tier, JSON-shaped.
 
         The health endpoint and ``repro cache stats`` both read this, so
-        operators and the load harness see one set of numbers.
+        operators and the load harness see one set of numbers.  One
+        aggregate query, whatever the number of entries.
         """
-        entries = 0
-        total = 0
-        for p in self._disk_files():
-            try:
-                total += p.stat().st_size
-            except OSError:  # unlinked by a concurrent clear/evict
-                continue
-            entries += 1
+        found = self._sql(
+            "SELECT count(*), coalesce(sum(bytes), 0) FROM results"
+        )
+        entries, total = found[0][0] if found else (0, 0)
         return {
             "directory": str(self.directory) if self.directory else None,
             "entries": entries,
             "bytes": total,
         }
 
+    def entry_count(self) -> int:
+        """Number of results on disk (memory-only entries excluded)."""
+        return int(self.disk_usage()["entries"])
+
+    def total_bytes(self) -> int:
+        return int(self.disk_usage()["bytes"])
+
+    def _deleted(self, statement: str, args: tuple[object, ...] = ()) -> int:
+        done = self._sql(statement, args)
+        return done[1] if done else 0
+
     def clear(self) -> int:
-        """Drop every entry from both tiers; returns files removed."""
+        """Drop every entry from both tiers; returns entries removed.
+
+        Files of the earlier one-JSON-file-per-result layout are removed
+        too.  Only paths of exactly that shape (a 2-hex directory holding
+        64-hex ``.json`` names) are touched, so a mistyped ``--cache-dir``
+        never loses a foreign file.
+        """
         self._memory.clear()
         if self.directory is None:
             return 0
-        with _maintenance_lock(self.directory):
-            files = self._disk_files()
-            for path in files:
-                path.unlink(missing_ok=True)
-        return len(files)
+        removed = self._deleted("DELETE FROM results")
+        hexdigits = set("0123456789abcdef")
+        if self.directory.is_dir():
+            for path in sorted(self.directory.glob("*/*.json")):
+                shard, stem = path.parent.name, path.stem
+                if not (
+                    len(shard) == 2
+                    and set(shard) <= hexdigits
+                    and len(stem) == 64
+                    and set(stem) <= hexdigits
+                ):
+                    continue
+                try:
+                    path.unlink()
+                    removed += 1
+                    path.parent.rmdir()  # fails while the shard holds more
+                except OSError:
+                    continue
+        return removed
 
     def evict_over_size(self, max_bytes: int) -> int:
         """Evict least-recently-written entries until the tier fits.
 
         Long-lived serve replicas call this (via ``repro cache prune
-        --max-bytes``) to bound disk growth; entries go oldest-mtime
+        --max-bytes``) to bound disk growth; entries go oldest-written
         first, so the hottest (most recently re-written or freshly
-        computed) results survive.  Returns the number of files removed.
-        Safe against concurrent replicas: the sweep holds the maintenance
-        lock, and a file deleted under us is simply skipped.
+        computed) results survive.  A row goes exactly when it and every
+        newer row together exceed the budget.  Returns entries removed.
         """
         if max_bytes < 0:
             raise ValueError("max_bytes must be >= 0")
-        if self.directory is None:
-            return 0
-        removed = 0
-        with _maintenance_lock(self.directory):
-            self.clean_stale_tmp()
-            aged: list[tuple[float, int, Path]] = []
-            total = 0
-            for path in self._disk_files():
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                aged.append((stat.st_mtime, stat.st_size, path))
-                total += stat.st_size
-            aged.sort()
-            for _mtime, size, path in aged:
-                if total <= max_bytes:
-                    break
-                try:
-                    path.unlink(missing_ok=True)
-                except OSError:  # pragma: no cover - read-only cache
-                    continue
-                total -= size
-                removed += 1
-        return removed
-
-    def clean_stale_tmp(self, max_age: float = STALE_TMP_SECONDS) -> int:
-        """Reclaim ``.tmp-*`` orphans left by writers that crashed mid-put.
-
-        A healthy write holds its temp file for milliseconds, so anything
-        older than ``max_age`` is debris.  Returns files removed.
-        """
-        if self.directory is None or not self.directory.exists():
-            return 0
-        cutoff = time.time() - max_age
-        removed = 0
-        for path in self.directory.glob("*/.tmp-*"):
-            try:
-                if path.stat().st_mtime < cutoff:
-                    path.unlink(missing_ok=True)
-                    removed += 1
-            except OSError:  # raced with its writer or another cleaner
-                continue
-        return removed
+        return self._deleted(
+            "DELETE FROM results WHERE rowid IN (SELECT rowid FROM ("
+            " SELECT rowid, sum(bytes) OVER (ORDER BY rowid DESC) AS newer"
+            " FROM results) WHERE newer > ?)",
+            (max_bytes,),
+        )
 
     def prune(self) -> int:
         """Remove entries no *current* job can ever look up again.
 
-        Entries are keyed by schema + source fingerprint, so files written
+        Entries are keyed by schema + source fingerprint, so rows written
         under an older schema or an edited codebase are orphaned -- no
         lookup from this checkout will find (and so retire) them.  Only
         invoked explicitly (``python -m repro cache prune``): another
         checkout sharing the cache directory may still be using those
         entries, so sweeping them automatically would thrash.  Returns the
-        number of files removed; valid current entries are untouched.
+        number of entries removed; valid current entries are untouched.
         """
-        if self.directory is None:
-            return 0
-        current = source_fingerprint()
-        removed = 0
-        with _maintenance_lock(self.directory):
-            self.clean_stale_tmp()
-            for path in self._disk_files():
-                try:
-                    text = path.read_text()
-                except OSError:
-                    continue  # transient I/O: leave the file alone
-                try:
-                    payload = json.loads(text)
-                    if (
-                        payload["schema"] == ENGINE_SCHEMA_VERSION
-                        and payload.get("source") == current
-                    ):
-                        continue
-                except (ValueError, KeyError, TypeError):
-                    pass  # malformed: orphaned either way
-                try:
-                    path.unlink(missing_ok=True)
-                    removed += 1
-                except OSError:  # pragma: no cover - read-only cache
-                    continue
-        return removed
+        return self._deleted(
+            "DELETE FROM results WHERE schema != ? OR source != ?",
+            (ENGINE_SCHEMA_VERSION, source_fingerprint()),
+        )
 
     def describe(self) -> str:
         """One-paragraph human summary for the ``cache show`` CLI."""
         where = str(self.directory) if self.directory else "(memory only)"
+        usage = self.disk_usage()
         lines = [
             f"cache directory : {where}",
-            f"entries on disk : {self.entry_count()}",
-            f"size on disk    : {self.total_bytes() / 1024:.1f} KiB",
+            f"entries on disk : {usage['entries']}",
+            f"size on disk    : {usage['bytes'] / 1024:.1f} KiB",
             f"schema version  : {ENGINE_SCHEMA_VERSION}",
         ]
         if self.stats.lookups:
@@ -413,9 +377,10 @@ class ResultCache:
 
 
 __all__ = [
+    "BUSY_TIMEOUT_S",
     "CacheStats",
+    "DB_NAME",
     "DEFAULT_MEMORY_ENTRIES",
-    "STALE_TMP_SECONDS",
     "ResultCache",
     "default_cache_dir",
 ]

@@ -428,6 +428,50 @@ class TestHealthDetails:
         finally:
             _teardown(session, instance, thread)
 
+    def test_health_reads_a_large_cache_without_walking_files(
+        self, tmp_path, monkeypatch
+    ):
+        """20,000 entries: usage is one aggregate query, not a file walk."""
+        import pathlib
+        import sqlite3
+
+        from repro.engine.cache import DB_NAME, TABLE, ResultCache
+        from repro.engine.pool import Engine
+
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        rows = [
+            (f"{i:064x}", 0, "", "evaluate", "x" * (i % 97), i % 97)
+            for i in range(20_000)
+        ]
+        with sqlite3.connect(directory / DB_NAME) as db:
+            db.execute(TABLE)
+            db.executemany(
+                "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?)", rows
+            )
+        expected = {
+            "directory": str(directory),
+            "entries": 20_000,
+            "bytes": sum(row[5] for row in rows),
+        }
+
+        def no_walking(*_args, **_kwargs):
+            raise AssertionError("disk usage must not walk the directory")
+
+        monkeypatch.setattr(pathlib.Path, "glob", no_walking)
+        monkeypatch.setattr(os, "scandir", no_walking)
+        cache = ResultCache(directory=directory)
+        assert cache.disk_usage() == expected
+        session = Session(engine=Engine(cache=cache))
+        instance = ReproServer(("127.0.0.1", 0), session)
+        thread = _serve_thread(instance)
+        try:
+            status, body = _request(instance, "GET", "/v1/health")
+        finally:
+            _teardown(session, instance, thread)
+        assert status == 200
+        assert body["result"]["disk_cache"] == expected
+
     def test_health_describes_one_process(self, server):
         status, body = _request(server, "GET", "/v1/health")
         assert status == 200

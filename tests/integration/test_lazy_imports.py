@@ -66,6 +66,21 @@ def loaded_by(module: str, watched: tuple[str, ...]) -> list[str]:
     return json.loads(result.stdout)
 
 
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.engine.cache",
+        "repro.engine.pool",
+        "repro.bench",
+        "repro.check.coverage",
+    ],
+)
+def test_grid_and_proof_imports_load_no_sqlite(module):
+    """The disk tier imports :mod:`sqlite3` on first use: the grid runs a
+    memory-only cache and the proof none, so neither pays for it."""
+    assert loaded_by(module, ("sqlite3", "_sqlite3")) == []
+
+
 def test_server_import_loads_no_multiprocessing():
     assert loaded_by("repro.api.serve", ("multiprocessing",)) == []
 

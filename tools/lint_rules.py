@@ -6,7 +6,7 @@ is importable from the default path (CI checkouts, pre-commit hooks)::
 
     python tools/lint_rules.py            # lint src/repro with all rules
     python tools/lint_rules.py --list     # print the rule catalog
-    python tools/lint_rules.py --rule cache-locking --rule set-iteration
+    python tools/lint_rules.py --rule determinism-imports --rule set-iteration
 
 Exits non-zero on any violation.  The rules themselves live in
 ``src/repro/check/lint.py`` -- this file only locates the source tree.
