@@ -33,6 +33,7 @@ from repro.api.registry import (
     EXPERIMENTS,
     Experiment,
     Param,
+    SuiteSection,
     capabilities,
     get_experiment,
     list_experiments,
@@ -95,6 +96,7 @@ __all__ = [
     "SchemaVersionError",
     "ServerSaturatedError",
     "Session",
+    "SuiteSection",
     "SweepRequest",
     "SweepResponse",
     "UnknownExperimentError",

@@ -10,15 +10,17 @@ adding an experiment to this registry makes it reachable from
 endpoints without touching any front-end.
 
 The suite sections (:func:`suite_sections`) are the registry's ordered
-view the runner iterates -- same drivers, same titles, same evaluation
-order as the historical hard-coded list, so suite output stays
-byte-identical.
+view the runner iterates -- same drivers, same titles, same order as the
+historical hard-coded list, so suite output stays byte-identical.  Each
+declares its grid points as a :class:`SuiteSection`; the runner maps
+every section's points at once (:func:`map_sections`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.api.types import (
     API_SCHEMA_VERSION,
@@ -29,9 +31,10 @@ from repro.api.types import (
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 if TYPE_CHECKING:
-    from repro.engine.pool import Engine
+    from repro.engine.jobs import EvalJob, JobResult
     from repro.ir.loop import Loop
 
+from repro.engine.pool import Engine, serial_engine
 from repro.engine.sweep import (
     NAMED_SWEEPS,
     format_outcome,
@@ -135,6 +138,72 @@ class Param:
         return record
 
 
+def _no_jobs(loops: "Sequence[Loop]") -> "list[EvalJob]":
+    return []
+
+
+#: A section's jobs with the builder of its result from theirs.
+SectionPlan = tuple[
+    "list[EvalJob]", Callable[["Sequence[JobResult]"], object]
+]
+
+
+@dataclass(frozen=True)
+class SuiteSection:
+    """A section of ``python -m repro run`` as a slice of one grid.
+
+    ``jobs(loops, **params)`` declares every point the section reads, and
+    ``build(loops, results)`` turns those points' results, in the same
+    order, into the section's result.  Both are pure, so the suite maps
+    the jobs of every section at once and points that sections share
+    (Figure 7's are Figure 6's, Figure 9's are Figure 8's) resolve once.
+    ``spill=True`` sections read the spill-pipeline subset of the suite.
+    """
+
+    build: Callable[..., object]
+    jobs: Callable[..., "list[EvalJob]"] = _no_jobs
+    spill: bool = False
+
+    def plan(
+        self,
+        loops: "Sequence[Loop]",
+        spill: "Sequence[Loop]",
+        **params: object,
+    ) -> SectionPlan:
+        subset = spill if self.spill else loops
+        return self.jobs(subset, **params), partial(self.build, subset)
+
+    def run(
+        self,
+        engine: Engine | None = None,
+        loops: int = 200,
+        seed: int = DEFAULT_SEED,
+        **params: object,
+    ) -> object:
+        """The standalone experiment: this section alone, on one suite."""
+        suite = _suite(loops, seed)
+        (result,) = map_sections(engine, [self.plan(suite, suite, **params)])
+        return result
+
+
+def map_sections(
+    engine: Engine | None, plans: Sequence[SectionPlan]
+) -> list[object]:
+    """Build every planned section from one ``Engine.map`` of all jobs.
+
+    :func:`repro.engine.pool.run_jobs` resolves the points sections share
+    once and evaluates each loop's points against one shared chain.
+    """
+    grid = [job for jobs, _build in plans for job in jobs]
+    results = (engine or serial_engine()).map(grid)
+    built = []
+    start = 0
+    for jobs, build in plans:
+        built.append(build(results[start:start + len(jobs)]))
+        start += len(jobs)
+    return built
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One registered study: schema-validated entry to a driver."""
@@ -146,9 +215,9 @@ class Experiment:
     params: tuple[Param, ...]
     runner: Callable  # (engine=..., **params) -> structured result
     formatter: Callable  # structured result -> report text
-    #: Suite hook: ``(loops, spill_subset, engine) -> result`` for entries
-    #: that render a section of ``python -m repro run`` (None otherwise).
-    suite_runner: Callable | None = None
+    #: The entry's section of ``python -m repro run`` (None for entries
+    #: that render none); a section's ``run`` is the entry's runner.
+    section: SuiteSection | None = None
 
     def validate(self, params: dict) -> dict:
         """Defaults filled, values coerced, unknown names rejected."""
@@ -217,12 +286,12 @@ def get_experiment(name: str) -> Experiment:
         ) from None
 
 
-def suite_sections() -> list[tuple[str, str, Callable]]:
-    """``(name, title, suite_runner)`` for every suite-section entry."""
+def suite_sections() -> list[tuple[str, str, SuiteSection]]:
+    """``(name, title, section)`` for every suite-section entry."""
     return [
-        (e.name, e.title, e.suite_runner)
+        (e.name, e.title, e.section)
         for e in EXPERIMENTS.values()
-        if e.suite_runner is not None
+        if e.section is not None
     ]
 
 
@@ -295,10 +364,13 @@ register_experiment(
         params=(),
         runner=lambda engine=None: example_loop.run_example(),
         formatter=example_loop.format_report,
-        suite_runner=lambda loops, spill, engine: example_loop.run_example(),
+        section=SuiteSection(
+            build=lambda loops, results: example_loop.run_example()
+        ),
     )
 )
 
+_TABLE1 = SuiteSection(build=table1.build, jobs=table1.jobs)
 register_experiment(
     Experiment(
         name="table1",
@@ -309,16 +381,13 @@ register_experiment(
             "spilling at 16/32/64 registers on the PxLy machines."
         ),
         params=(_LOOPS, _SEED),
-        runner=lambda engine=None, loops=200, seed=DEFAULT_SEED: (
-            table1.run_table1(_suite(loops, seed), engine=engine)
-        ),
+        runner=_TABLE1.run,
         formatter=table1.format_report,
-        suite_runner=lambda loops, spill, engine: table1.run_table1(
-            loops, engine=engine
-        ),
+        section=_TABLE1,
     )
 )
 
+_FIGURE6 = SuiteSection(build=figure6.build, jobs=figure6.jobs)
 register_experiment(
     Experiment(
         name="figure6",
@@ -329,36 +398,30 @@ register_experiment(
             "required, per model and latency."
         ),
         params=(_LOOPS, _SEED),
-        runner=lambda engine=None, loops=200, seed=DEFAULT_SEED: (
-            figure6.run_figure6(_suite(loops, seed), engine=engine)
-        ),
+        runner=_FIGURE6.run,
         formatter=figure6.format_report,
-        suite_runner=lambda loops, spill, engine: figure6.run_figure6(
-            loops, engine=engine
-        ),
+        section=_FIGURE6,
     )
 )
 
+_FIGURE7 = SuiteSection(build=figure7.build, jobs=figure7.jobs)
 register_experiment(
     Experiment(
         name="figure7",
         kind="experiment",
         title="Figure 7 -- dynamic distributions",
         description=(
-            "Cycle-weighted (dynamic) cumulative distributions; free on a "
-            "shared engine once Figure 6 has run."
+            "Cycle-weighted (dynamic) cumulative distributions; Figure "
+            "6's points, free in the same suite run."
         ),
         params=(_LOOPS, _SEED),
-        runner=lambda engine=None, loops=200, seed=DEFAULT_SEED: (
-            figure7.run_figure7(_suite(loops, seed), engine=engine)
-        ),
+        runner=_FIGURE7.run,
         formatter=figure7.format_report,
-        suite_runner=lambda loops, spill, engine: figure7.run_figure7(
-            loops, engine=engine
-        ),
+        section=_FIGURE7,
     )
 )
 
+_FIGURE8 = SuiteSection(build=figure8.build, jobs=figure8.jobs, spill=True)
 register_experiment(
     Experiment(
         name="figure8",
@@ -369,22 +432,13 @@ register_experiment(
             "relative to infinite registers."
         ),
         params=(_LOOPS, _SEED, _POLICY, _ESCALATION),
-        runner=lambda engine=None, loops=200, seed=DEFAULT_SEED,
-        victim_policy="longest", ii_escalation="increment": (
-            figure8.run_figure8(
-                _suite(loops, seed),
-                engine=engine,
-                victim_policy=victim_policy,
-                ii_escalation=ii_escalation,
-            )
-        ),
+        runner=_FIGURE8.run,
         formatter=figure8.format_report,
-        suite_runner=lambda loops, spill, engine: figure8.run_figure8(
-            spill, engine=engine
-        ),
+        section=_FIGURE8,
     )
 )
 
+_FIGURE9 = SuiteSection(build=figure9.build, jobs=figure9.jobs, spill=True)
 register_experiment(
     Experiment(
         name="figure9",
@@ -395,19 +449,9 @@ register_experiment(
             "to Figure 8's."
         ),
         params=(_LOOPS, _SEED, _POLICY, _ESCALATION),
-        runner=lambda engine=None, loops=200, seed=DEFAULT_SEED,
-        victim_policy="longest", ii_escalation="increment": (
-            figure9.run_figure9(
-                _suite(loops, seed),
-                engine=engine,
-                victim_policy=victim_policy,
-                ii_escalation=ii_escalation,
-            )
-        ),
+        runner=_FIGURE9.run,
         formatter=figure9.format_report,
-        suite_runner=lambda loops, spill, engine: figure9.run_figure9(
-            spill, engine=engine
-        ),
+        section=_FIGURE9,
     )
 )
 
@@ -433,10 +477,12 @@ register_experiment(
             cost.run_cost_study(registers)
         ],
         formatter=cost.format_report,
-        suite_runner=lambda loops, spill, engine: [
-            cost.run_cost_study(32),
-            cost.run_cost_study(64),
-        ],
+        section=SuiteSection(
+            build=lambda loops, results: [
+                cost.run_cost_study(32),
+                cost.run_cost_study(64),
+            ]
+        ),
     )
 )
 
@@ -578,7 +624,7 @@ register_experiment(
         kind="suite",
         title="Full experiment suite",
         description=(
-            "Every section above through one shared engine -- the "
+            "Every section above through one engine map -- the "
             "programmatic form of ``python -m repro run``."
         ),
         params=(
@@ -665,9 +711,12 @@ __all__ = [
     "EXPERIMENTS",
     "Experiment",
     "Param",
+    "SectionPlan",
+    "SuiteSection",
     "capabilities",
     "get_experiment",
     "list_experiments",
+    "map_sections",
     "register_experiment",
     "suite_sections",
 ]

@@ -8,7 +8,8 @@ counted in :attr:`CacheStats.corrupt` -- a damaged cache degrades to
 recomputation, never to wrong numbers.  So does an unusable database
 (unopenable, not a database, full, read-only, or locked past
 :data:`BUSY_TIMEOUT_S`): every disk operation that fails is a miss or an
-unstored put.
+unstored put.  :meth:`ResultCache.clear` deletes a database file that
+does not start with :data:`SQLITE_HEADER`, so the next put starts afresh.
 
 The disk tier is a **shared backend**: any number of processes (separate
 CLI invocations, ``repro serve`` processes over one ``--cache-dir``,
@@ -61,6 +62,9 @@ DEFAULT_MEMORY_ENTRIES = 65536
 
 #: The database file inside the cache directory.
 DB_NAME = "results.sqlite3"
+
+#: The first 16 bytes of every SQLite 3 database file.
+SQLITE_HEADER = b"SQLite format 3\x00"
 
 #: One row per result.  ``INSERT OR REPLACE`` gives a rewritten key a new
 #: rowid, so rowid order is least-recently-written order.
@@ -307,6 +311,7 @@ class ResultCache:
         self._memory.clear()
         if self.directory is None:
             return 0
+        self._drop_foreign_database()
         removed = self._deleted("DELETE FROM results")
         hexdigits = set("0123456789abcdef")
         if self.directory.is_dir():
@@ -326,6 +331,33 @@ class ResultCache:
                 except OSError:
                     continue
         return removed
+
+    def _drop_foreign_database(self) -> None:
+        """Delete :data:`DB_NAME` and its sidecars if it is no database.
+
+        Such a file (another program's bytes, a torn copy) fails every
+        open, so the disk tier would stay a pure miss for good.  Only
+        the database's own three names are touched.  A zero-length file
+        is a database SQLite has yet to write, and stays.
+        """
+        assert self.directory is not None
+        path = self.directory / DB_NAME
+        try:
+            with path.open("rb") as handle:
+                header = handle.read(len(SQLITE_HEADER))
+        except OSError:
+            return  # absent, or not a readable file
+        if not header or header == SQLITE_HEADER:
+            return
+        with self._db_lock:
+            if self._db is not None:
+                self._db.close()
+                self._db = None
+            for name in (DB_NAME, f"{DB_NAME}-wal", f"{DB_NAME}-shm"):
+                try:
+                    (self.directory / name).unlink(missing_ok=True)
+                except OSError:
+                    continue
 
     def evict_over_size(self, max_bytes: int) -> int:
         """Evict least-recently-written entries until the tier fits.
@@ -380,6 +412,7 @@ __all__ = [
     "BUSY_TIMEOUT_S",
     "CacheStats",
     "DB_NAME",
+    "SQLITE_HEADER",
     "DEFAULT_MEMORY_ENTRIES",
     "ResultCache",
     "default_cache_dir",

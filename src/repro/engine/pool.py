@@ -8,9 +8,10 @@ calling process -- bit-identical results, one stack to debug.
 
 The :class:`Engine` facade bundles a worker count and a shared cache so the
 experiment drivers can stay declarative: they build jobs and call
-:meth:`Engine.map`.  Identical points recur constantly across drivers
-(Figure 7 re-measures Figure 6's grid; Figure 9 re-runs Figure 8's), so a
-shared engine collapses that duplication even with the disk cache disabled.
+:meth:`Engine.map`.  Identical points recur across drivers (Figure 7
+re-measures Figure 6's grid; Figure 9 re-runs Figure 8's); the suite maps
+every section's jobs at once, so :func:`run_jobs` resolves each repeat
+inside that one call, with either cache tier or none.
 """
 
 from __future__ import annotations
@@ -21,22 +22,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from dataclasses import replace as _replace
 
-from repro.analysis.performance import ModelRun
-from repro.core.models import Model
-from repro.core.swapping import SwapEstimator
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import (
     EvalJob,
-    EvalResult,
     JobResult,
-    PressureResult,
     batch_key,
-    evaluate_job,
     execute_batch,
-    pressure_job,
 )
-from repro.ir.loop import Loop
-from repro.machine.config import MachineConfig
 
 if TYPE_CHECKING:
     # Imported where workers are started: a serial run never pays for it.
@@ -251,8 +243,8 @@ class Engine:
 
     The worker pool is created lazily on the first :meth:`map` that has
     cache misses to execute (an all-hits warm run never spawns workers)
-    and reused for the engine's lifetime -- the experiment runner issues
-    dozens of map calls, and paying worker startup (a full interpreter +
+    and reused for the engine's lifetime -- a session or sweep issues
+    many map calls, and paying worker startup (a full interpreter +
     import under the spawn start method) per call would swamp them.  Call
     :meth:`close` (or use the engine as a context manager) to release the
     workers early; they die with the parent process regardless.
@@ -324,64 +316,12 @@ class Engine:
             on_result=on_result if on_result is not None else self.on_result,
         )
 
-    # ------------------------------------------------------------------
-    # Driver-facing conveniences
-    # ------------------------------------------------------------------
-    def pressure_reports(
-        self,
-        loops: Sequence[Loop],
-        machine: MachineConfig,
-        swap_estimator: SwapEstimator = SwapEstimator.MAXLIVE,
-    ) -> list[PressureResult]:
-        """Unlimited-register measurements for a workload (Figures 6/7)."""
-        return self.map(
-            [
-                pressure_job(loop, machine, swap_estimator=swap_estimator)
-                for loop in loops
-            ]
-        )
-
-    def run_model(
-        self,
-        loops: Sequence[Loop],
-        machine: MachineConfig,
-        model: Model,
-        register_budget: int | None,
-        swap_estimator: SwapEstimator = SwapEstimator.MAXLIVE,
-        victim_policy: str = "longest",
-        pressure_strategy: str = "spill",
-        ii_escalation: str = "increment",
-    ) -> ModelRun:
-        """Engine-backed equivalent of :func:`repro.analysis.run_model`."""
-        evaluations: list[EvalResult] = self.map(
-            [
-                evaluate_job(
-                    loop,
-                    machine,
-                    model,
-                    register_budget,
-                    swap_estimator=swap_estimator,
-                    victim_policy=victim_policy,
-                    pressure_strategy=pressure_strategy,
-                    ii_escalation=ii_escalation,
-                )
-                for loop in loops
-            ]
-        )
-        return ModelRun(
-            model=model,
-            machine=machine,
-            register_budget=register_budget,
-            evaluations=tuple(evaluations),
-        )
-
 
 def serial_engine() -> Engine:
     """The implicit engine of drivers called without one.
 
-    Serial and memory-cached: identical numbers to direct evaluation, but
-    repeated points within the call (e.g. the Ideal baseline reused by every
-    Figure 8 budget) still collapse.
+    Serial and memory-cached: identical numbers to direct evaluation, and
+    points repeated across its maps are computed once.
     """
     return Engine(workers=0, cache=ResultCache(directory=None))
 

@@ -1,9 +1,10 @@
 """Experiment drivers: one module per table/figure of the paper.
 
-The drivers here hold the measurement logic; their discoverable,
-schema-validated entries live in the experiment registry
-(:mod:`repro.api.registry`), which the suite runner, the CLI, and
-``python -m repro serve`` all dispatch through.
+Each evaluating module declares the grid points its table or figure
+reads (``jobs``) and builds its result from their results (``build``);
+their discoverable, schema-validated entries live in the experiment
+registry (:mod:`repro.api.registry`), which the suite runner, the CLI,
+and ``python -m repro serve`` all dispatch through.
 """
 
 from repro.experiments import (  # noqa: F401 (re-exported modules)

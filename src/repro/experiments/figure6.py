@@ -14,19 +14,20 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.distributions import (
-    DEFAULT_GRID,
     CumulativeDistribution,
     cumulative_distribution,
 )
 from repro.analysis.reporting import LineChart, Table, bar
 from repro.core.pressure import PressureReport
-from repro.core.swapping import SwapEstimator
-from repro.engine.jobs import PressureResult
-from repro.engine.pool import Engine, serial_engine
+from repro.engine.jobs import EvalJob, PressureResult, pressure_job
+from repro.engine.pool import serial_engine
 from repro.ir.loop import Loop
 from repro.machine.config import MachineConfig, paper_config
 
 MODEL_NAMES = ("unified", "partitioned", "swapped")
+
+#: FP latencies of the 2-cluster machine (Section 5.2); Figures 6-9 use both.
+LATENCIES = (3, 6)
 
 #: Either the engine's summary record or the full in-process report; both
 #: expose ``trip_count``, ``ii`` and the three per-model requirements.
@@ -46,24 +47,11 @@ class DistributionSet:
         return self.curves[model]
 
 
-def collect_reports(
-    loops: Sequence[Loop],
-    machine: MachineConfig,
-    engine: Engine | None = None,
-    swap_estimator: SwapEstimator = SwapEstimator.MAXLIVE,
-) -> list[PressureResult]:
-    """Measure every loop's register pressure through the engine."""
-    return (engine or serial_engine()).pressure_reports(
-        loops, machine, swap_estimator=swap_estimator
-    )
-
-
 def build_distributions(
     reports: Sequence[PressureLike],
     machine: MachineConfig,
     latency: int,
     weighted: bool = False,
-    grid: Sequence[int] = DEFAULT_GRID,
 ) -> DistributionSet:
     """Assemble the per-model cumulative curves from pressure reports."""
     weights = (
@@ -73,7 +61,7 @@ def build_distributions(
     for model in MODEL_NAMES:
         requirements = [getattr(r, model) for r in reports]
         curves[model] = cumulative_distribution(
-            requirements, weights=weights, grid=grid, label=model
+            requirements, weights=weights, label=model
         )
     return DistributionSet(
         machine=machine.name,
@@ -83,30 +71,42 @@ def build_distributions(
     )
 
 
-def run_figure6(
-    loops: Sequence[Loop],
-    latencies: Sequence[int] = (3, 6),
-    weighted: bool = False,
-    grid: Sequence[int] = DEFAULT_GRID,
-    engine: Engine | None = None,
-    swap_estimator: SwapEstimator = SwapEstimator.MAXLIVE,
-) -> list[DistributionSet]:
-    """Compute the Figure 6 (or, with ``weighted=True``, Figure 7) data.
+def jobs(loops: Sequence[Loop]) -> list[EvalJob]:
+    """Every loop's pressure measurement at each latency, latency-major.
 
-    ``swap_estimator`` is the pipeline knob for the Swapped curve: the
-    paper's MaxLive lower bound, or exact first-fit for the ablation.
+    Figure 7 reads the same jobs, so in one suite map they resolve once.
     """
-    engine = engine or serial_engine()
-    sets = []
-    for latency in latencies:
-        machine = paper_config(latency)
-        reports = collect_reports(
-            loops, machine, engine=engine, swap_estimator=swap_estimator
+    return [
+        pressure_job(loop, paper_config(latency))
+        for latency in LATENCIES
+        for loop in loops
+    ]
+
+
+def build(
+    loops: Sequence[Loop],
+    results: Sequence[PressureResult],
+    weighted: bool = False,
+) -> list[DistributionSet]:
+    """One curve set per latency from the results of :func:`jobs`.
+
+    ``weighted=True`` weights loops by ``trip_count * II`` (Figure 7).
+    """
+    n = len(loops)
+    return [
+        build_distributions(
+            results[i * n:(i + 1) * n],
+            paper_config(latency),
+            latency,
+            weighted,
         )
-        sets.append(
-            build_distributions(reports, machine, latency, weighted, grid)
-        )
-    return sets
+        for i, latency in enumerate(LATENCIES)
+    ]
+
+
+def run_figure6(loops: Sequence[Loop]) -> list[DistributionSet]:
+    """Compute the Figure 6 data on a serial engine."""
+    return build(loops, serial_engine().map(jobs(loops)))
 
 
 #: Palette slots for the models, shared by every chart in the report so a
@@ -176,24 +176,16 @@ def format_report(
     )
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    from repro.workloads.suite import quick_suite
-
-    print(format_report(run_figure6(list(quick_suite(120)))))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
-
-
 __all__ = [
     "MODEL_NAMES",
     "MODEL_SLOTS",
     "DistributionSet",
+    "LATENCIES",
+    "build",
     "build_distributions",
-    "collect_reports",
     "distribution_chart",
     "distribution_table",
     "format_report",
+    "jobs",
     "run_figure6",
 ]

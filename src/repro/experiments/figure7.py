@@ -11,48 +11,31 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.swapping import SwapEstimator
-from repro.engine.pool import Engine
+from repro.engine.jobs import PressureResult
+from repro.engine.pool import serial_engine
 from repro.experiments.figure6 import (
     DistributionSet,
+    build as _build6,
     format_report as _format6,
-    run_figure6,
+    jobs,
 )
 from repro.ir.loop import Loop
 
 
-def run_figure7(
-    loops: Sequence[Loop],
-    latencies: Sequence[int] = (3, 6),
-    engine: Engine | None = None,
-    swap_estimator: SwapEstimator = SwapEstimator.MAXLIVE,
+def build(
+    loops: Sequence[Loop], results: Sequence[PressureResult]
 ) -> list[DistributionSet]:
-    """Figure 6 weighted by execution time.
+    """Figure 6's curves from Figure 6's jobs, weighted by execution time."""
+    return _build6(loops, results, weighted=True)
 
-    With a shared (caching) engine the underlying pressure jobs are the
-    same as Figure 6's, so this figure costs nothing beyond re-weighting.
-    """
-    return run_figure6(
-        loops,
-        latencies=latencies,
-        weighted=True,
-        engine=engine,
-        swap_estimator=swap_estimator,
-    )
+
+def run_figure7(loops: Sequence[Loop]) -> list[DistributionSet]:
+    """Compute the Figure 7 data on a serial engine."""
+    return build(loops, serial_engine().map(jobs(loops)))
 
 
 def format_report(sets: Sequence[DistributionSet]) -> str:
     return _format6(sets, figure_name="Figure 7")
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    from repro.workloads.suite import quick_suite
-
-    print(format_report(run_figure7(list(quick_suite(120)))))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
-
-
-__all__ = ["format_report", "run_figure7"]
+__all__ = ["build", "format_report", "jobs", "run_figure7"]

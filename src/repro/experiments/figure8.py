@@ -14,18 +14,18 @@ Partitioned exactly where pressure hurts most (L6/R32).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.analysis.performance import ModelRun, relative_performance
 from repro.analysis.reporting import BarChart, Table, bar
 from repro.core.models import Model
-from repro.experiments.figure6 import MODEL_SLOTS
-from repro.engine.pool import Engine, serial_engine
+from repro.engine.jobs import EvalJob, EvalResult, evaluate_job
+from repro.engine.pool import serial_engine
+from repro.experiments.figure6 import LATENCIES, MODEL_SLOTS
 from repro.ir.loop import Loop
-from repro.machine.config import MachineConfig, paper_config
+from repro.machine.config import paper_config
 
-DEFAULT_BUDGETS = (32, 64)
-DEFAULT_LATENCIES = (3, 6)
+BUDGETS = (32, 64)
 
 
 @dataclass(frozen=True)
@@ -43,52 +43,103 @@ class Figure8Cell:
         return f"L={self.latency},R={self.budget}"
 
 
-def run_figure8(
-    loops: Sequence[Loop],
-    latencies: Sequence[int] = DEFAULT_LATENCIES,
-    budgets: Sequence[int] = DEFAULT_BUDGETS,
-    models: Sequence[Model] = tuple(Model),
-    engine: Engine | None = None,
-    victim_policy: str = "longest",
-    pressure_strategy: str = "spill",
-    ii_escalation: str = "increment",
-) -> list[Figure8Cell]:
-    """Evaluate the full (latency x budget x model) grid.
+def _runs() -> list[tuple[int, Model, int | None]]:
+    """``(latency, model, budget)`` of every model run, in job order.
 
-    The trailing keywords are the spill pipeline's pluggable policies
-    (:mod:`repro.pipeline.policies`); the defaults reproduce the paper.
+    Ideal has no budget: it runs once per latency and is both the Ideal
+    bar and the baseline of every budget's cells.
     """
-    engine = engine or serial_engine()
-    cells: list[Figure8Cell] = []
-    for latency in latencies:
+    runs: list[tuple[int, Model, int | None]] = []
+    for latency in LATENCIES:
+        runs.append((latency, Model.IDEAL, None))
+        for budget in BUDGETS:
+            for model in Model:
+                if model is not Model.IDEAL:
+                    runs.append((latency, model, budget))
+    return runs
+
+
+def jobs(
+    loops: Sequence[Loop],
+    victim_policy: str = "longest",
+    ii_escalation: str = "increment",
+) -> list[EvalJob]:
+    """Every loop under every model run of the grid, run-major.
+
+    The keywords are the spill pipeline's pluggable policies
+    (:mod:`repro.pipeline.policies`); the defaults reproduce the paper.
+    Ideal never spills, so its jobs keep the defaults.  Figure 9 reads
+    the same jobs, so in one suite map they resolve once.
+    """
+    out: list[EvalJob] = []
+    for latency, model, budget in _runs():
         machine = paper_config(latency)
-        ideal = engine.run_model(loops, machine, Model.IDEAL, None)
-        for budget in budgets:
-            for model in models:
-                if model is Model.IDEAL:
-                    run = ideal
-                else:
-                    run = engine.run_model(
-                        loops,
-                        machine,
-                        model,
-                        budget,
-                        victim_policy=victim_policy,
-                        pressure_strategy=pressure_strategy,
-                        ii_escalation=ii_escalation,
-                    )
-                cells.append(
-                    Figure8Cell(
-                        latency=latency,
-                        budget=budget,
-                        model=model,
-                        run=run,
-                        performance=relative_performance(
-                            run.evaluations, ideal.evaluations
-                        ),
-                    )
+        knobs = (
+            {}
+            if model is Model.IDEAL
+            else {
+                "victim_policy": victim_policy,
+                "ii_escalation": ii_escalation,
+            }
+        )
+        out.extend(
+            evaluate_job(loop, machine, model, budget, **knobs)
+            for loop in loops
+        )
+    return out
+
+
+def cell_runs(
+    loops: Sequence[Loop], results: Sequence[EvalResult]
+) -> Iterator[tuple[int, int, Model, ModelRun, ModelRun]]:
+    """``(latency, budget, model, run, ideal run)`` of every cell.
+
+    Cells come in figure order (latency, then budget, then model) from
+    the results of :func:`jobs`; Figures 8 and 9 both render from them.
+    """
+    n = len(loops)
+    runs = {
+        (latency, model, budget): ModelRun(
+            model=model,
+            machine=paper_config(latency),
+            register_budget=budget,
+            evaluations=tuple(results[i * n:(i + 1) * n]),
+        )
+        for i, (latency, model, budget) in enumerate(_runs())
+    }
+    for latency in LATENCIES:
+        ideal = runs[latency, Model.IDEAL, None]
+        for budget in BUDGETS:
+            for model in Model:
+                run = (
+                    ideal
+                    if model is Model.IDEAL
+                    else runs[latency, model, budget]
                 )
-    return cells
+                yield latency, budget, model, run, ideal
+
+
+def build(
+    loops: Sequence[Loop], results: Sequence[EvalResult]
+) -> list[Figure8Cell]:
+    """The (latency x budget x model) cells from the results of :func:`jobs`."""
+    return [
+        Figure8Cell(
+            latency=latency,
+            budget=budget,
+            model=model,
+            run=run,
+            performance=relative_performance(
+                run.evaluations, ideal.evaluations
+            ),
+        )
+        for latency, budget, model, run, ideal in cell_runs(loops, results)
+    ]
+
+
+def run_figure8(loops: Sequence[Loop]) -> list[Figure8Cell]:
+    """Compute the Figure 8 data on a serial engine."""
+    return build(loops, serial_engine().map(jobs(loops)))
 
 
 def performance_table(cells: Sequence[Figure8Cell]) -> Table:
@@ -144,22 +195,14 @@ def format_report(cells: Sequence[Figure8Cell]) -> str:
     return performance_table(cells).to_text()
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    from repro.workloads.suite import quick_suite
-
-    print(format_report(run_figure8(list(quick_suite(60)))))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
-
-
 __all__ = [
-    "DEFAULT_BUDGETS",
-    "DEFAULT_LATENCIES",
+    "BUDGETS",
     "Figure8Cell",
+    "build",
+    "cell_runs",
     "cells_by_config",
     "format_report",
+    "jobs",
     "performance_chart",
     "performance_table",
     "run_figure8",

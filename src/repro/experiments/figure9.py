@@ -15,15 +15,12 @@ from typing import Sequence
 from repro.analysis.performance import ModelRun
 from repro.analysis.reporting import BarChart, Table, bar
 from repro.core.models import Model
+from repro.engine.jobs import EvalResult
+from repro.engine.pool import serial_engine
 from repro.experiments.figure6 import MODEL_SLOTS
-from repro.experiments.figure8 import cells_by_config
-from repro.engine.pool import Engine, serial_engine
+from repro.experiments.figure8 import cell_runs, cells_by_config, jobs
 from repro.ir.loop import Loop
-from repro.machine.config import paper_config
 from repro.spill.traffic import aggregate_density, aggregate_traffic
-
-DEFAULT_BUDGETS = (32, 64)
-DEFAULT_LATENCIES = (3, 6)
 
 
 @dataclass(frozen=True)
@@ -42,52 +39,26 @@ class Figure9Cell:
         return f"L={self.latency},R={self.budget}"
 
 
-def run_figure9(
-    loops: Sequence[Loop],
-    latencies: Sequence[int] = DEFAULT_LATENCIES,
-    budgets: Sequence[int] = DEFAULT_BUDGETS,
-    models: Sequence[Model] = tuple(Model),
-    engine: Engine | None = None,
-    victim_policy: str = "longest",
-    pressure_strategy: str = "spill",
-    ii_escalation: str = "increment",
+def build(
+    loops: Sequence[Loop], results: Sequence[EvalResult]
 ) -> list[Figure9Cell]:
-    """Evaluate traffic density over the (latency x budget x model) grid.
+    """Traffic density of every cell, from Figure 8's jobs' results."""
+    return [
+        Figure9Cell(
+            latency=latency,
+            budget=budget,
+            model=model,
+            run=run,
+            density=aggregate_density(run.evaluations),
+            total_accesses=aggregate_traffic(run.evaluations),
+        )
+        for latency, budget, model, run, _ideal in cell_runs(loops, results)
+    ]
 
-    The jobs are identical to Figure 8's (given the same policy knobs), so
-    with a shared engine this figure is free once Figure 8 has run.
-    """
-    engine = engine or serial_engine()
-    cells: list[Figure9Cell] = []
-    for latency in latencies:
-        machine = paper_config(latency)
-        ideal = engine.run_model(loops, machine, Model.IDEAL, None)
-        for budget in budgets:
-            for model in models:
-                run = (
-                    ideal
-                    if model is Model.IDEAL
-                    else engine.run_model(
-                        loops,
-                        machine,
-                        model,
-                        budget,
-                        victim_policy=victim_policy,
-                        pressure_strategy=pressure_strategy,
-                        ii_escalation=ii_escalation,
-                    )
-                )
-                cells.append(
-                    Figure9Cell(
-                        latency=latency,
-                        budget=budget,
-                        model=model,
-                        run=run,
-                        density=aggregate_density(run.evaluations),
-                        total_accesses=aggregate_traffic(run.evaluations),
-                    )
-                )
-    return cells
+
+def run_figure9(loops: Sequence[Loop]) -> list[Figure9Cell]:
+    """Compute the Figure 9 data on a serial engine."""
+    return build(loops, serial_engine().map(jobs(loops)))
 
 
 def density_table(cells: Sequence[Figure9Cell]) -> Table:
@@ -129,22 +100,12 @@ def format_report(cells: Sequence[Figure9Cell]) -> str:
     return density_table(cells).to_text()
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    from repro.workloads.suite import quick_suite
-
-    print(format_report(run_figure9(list(quick_suite(60)))))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
-
-
 __all__ = [
-    "DEFAULT_BUDGETS",
-    "DEFAULT_LATENCIES",
     "Figure9Cell",
+    "build",
     "density_chart",
     "density_table",
     "format_report",
+    "jobs",
     "run_figure9",
 ]

@@ -1,20 +1,21 @@
-"""Run every experiment and print the paper-shaped reports.
+"""Run every experiment and render the paper-shaped reports.
 
-Usage::
+``python -m repro run`` lands here::
 
-    python -m repro.experiments.runner --loops 200                  # quick
-    python -m repro.experiments.runner --loops 800 --spill-loops 200  # paper scale
-    python -m repro.experiments.runner --loops 800 --workers 8        # pooled
+    python -m repro run --loops 200                  # quick
+    python -m repro run --loops 800 --spill-loops 200  # paper scale
+    python -m repro run --loops 800 --workers 8        # pooled
 
 ``--spill-loops`` bounds only the spill-pipeline experiments (Figures 8 and
 9), which dominate the runtime; the distribution experiments always use the
 full requested suite.
 
-All evaluation flows through one shared :class:`repro.engine.Engine`, so
-points repeated across drivers (Figure 7 re-measures Figure 6's grid,
-Figure 9 re-runs Figure 8's pipeline) are computed once, misses fan out
-over a multiprocess pool, and with the on-disk cache enabled a repeated run
-skips the evaluation work entirely.
+Every section declares its grid points, and the suite evaluates all of
+them in one :meth:`repro.engine.Engine.map`: points repeated across
+sections (Figure 7 reads Figure 6's grid, Figure 9 Figure 8's) are
+computed once, each loop's points share one schedule chain, misses fan
+out over a multiprocess pool, and with the on-disk cache enabled a
+repeated run skips the evaluation work entirely.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import argparse
 import time
 from dataclasses import dataclass
 
-from repro.api.registry import get_experiment, suite_sections
+from repro.api.registry import get_experiment, map_sections, suite_sections
 from repro.engine.cache import ResultCache, default_cache_dir
 from repro.engine.pool import Engine, serial_engine
 from repro.workloads.suite import perfect_club_like
@@ -31,11 +32,10 @@ from repro.workloads.suite import perfect_club_like
 
 @dataclass(frozen=True)
 class SectionRun:
-    """One experiment's structured result plus how long it took."""
+    """One experiment's structured result."""
 
     key: str  # stable id: "example", "table1", "figure6", ...
     title: str  # the heading the text report prints
-    seconds: float
     result: object  # the driver's own result type
 
 
@@ -65,20 +65,12 @@ class SuiteResult:
         return self.section(key).result
 
 
-#: Section key -> the driver function that renders its result as text.
-#: Derived from the experiment registry (:mod:`repro.api.registry`) -- the
-#: name is kept as a backward-compatible alias for older call sites.
-SECTION_FORMATTERS = {
-    name: get_experiment(name).format for name, _, _ in suite_sections()
-}
-
-
 def run_suite(
     n_loops: int = 200,
     spill_loops: int | None = None,
     engine: Engine | None = None,
 ) -> SuiteResult:
-    """Run every experiment through one engine; returns structured results."""
+    """Run every experiment through one engine map; structured results."""
     engine = engine or serial_engine()
     suite = perfect_club_like(n_loops)
     loops = list(suite)
@@ -86,18 +78,21 @@ def run_suite(
         suite.subset(spill_loops)
     )
     started = time.time()
-    sections: list[SectionRun] = []
     # The sections come from the experiment registry, in registration
     # order -- the same drivers and titles the historical hard-coded list
     # carried, so the rendered report is byte-identical.
-    for key, title, section_runner in suite_sections():
-        start = time.time()
-        result = section_runner(loops, spill_subset, engine)
-        sections.append(SectionRun(key, title, time.time() - start, result))
+    sections = suite_sections()
+    results = map_sections(
+        engine,
+        [section.plan(loops, spill_subset) for _, _, section in sections],
+    )
     return SuiteResult(
         n_loops=n_loops,
         spill_loops=spill_loops,
-        sections=tuple(sections),
+        sections=tuple(
+            SectionRun(key, title, result)
+            for (key, title, _), result in zip(sections, results)
+        ),
         engine_jobs=engine.jobs_run,
         cache_summary=engine.cache_summary(),
         wall_seconds=time.time() - started,
@@ -107,8 +102,7 @@ def run_suite(
 def format_suite(suite: SuiteResult) -> str:
     """The classic concatenated text report, rendered from structured data."""
     sections = [
-        f"=== {s.title} ({s.seconds:.1f}s) ===\n\n"
-        f"{SECTION_FORMATTERS[s.key](s.result)}"
+        f"=== {s.title} ===\n\n{get_experiment(s.key).format(s.result)}"
         for s in suite.sections
     ]
     if suite.cache_summary is not None:
@@ -117,15 +111,6 @@ def format_suite(suite: SuiteResult) -> str:
             f"cache {suite.cache_summary}"
         )
     return "\n\n\n".join(sections)
-
-
-def run_all(
-    n_loops: int = 200,
-    spill_loops: int | None = None,
-    engine: Engine | None = None,
-) -> str:
-    """Run every experiment; returns the concatenated report text."""
-    return format_suite(run_suite(n_loops, spill_loops, engine=engine))
 
 
 def positive_int(text: str) -> int:
@@ -193,8 +178,9 @@ def engine_from_args(args: argparse.Namespace) -> Engine:
     """Build the engine an experiment CLI asked for.
 
     ``--no-cache`` only disables the *disk* tier; the in-memory cache
-    stays, because cross-driver job sharing (Figures 7 and 9 reusing
-    Figures 6's and 8's points) depends on it.
+    stays for the engine's later maps.  The suite's own cross-section
+    sharing (Figures 7 and 9 reading Figure 6's and 8's points) needs
+    neither tier: the duplicates resolve inside its one map.
     """
     directory = None if args.no_cache else (
         args.cache_dir or default_cache_dir()
@@ -202,20 +188,7 @@ def engine_from_args(args: argparse.Namespace) -> Engine:
     return Engine(workers=args.workers, cache=ResultCache(directory=directory))
 
 
-def main(argv: list[str] | None = None) -> None:  # pragma: no cover - CLI
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_run_arguments(parser)
-    add_engine_arguments(parser)
-    args = parser.parse_args(argv)
-    print(run_all(args.loops, args.spill_loops, engine=engine_from_args(args)))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
-
-
 __all__ = [
-    "SECTION_FORMATTERS",
     "SectionRun",
     "SuiteResult",
     "add_engine_arguments",
@@ -224,6 +197,5 @@ __all__ = [
     "format_suite",
     "non_negative_int",
     "positive_int",
-    "run_all",
     "run_suite",
 ]

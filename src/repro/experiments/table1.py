@@ -15,8 +15,8 @@ from typing import Sequence
 
 from repro.analysis.distributions import fraction_fitting
 from repro.analysis.reporting import BarChart, Table
-from repro.core.swapping import SwapEstimator
-from repro.engine.pool import Engine, serial_engine
+from repro.engine.jobs import EvalJob, PressureResult, pressure_job
+from repro.engine.pool import serial_engine
 from repro.ir.loop import Loop
 from repro.machine.config import MachineConfig, pxly
 
@@ -43,26 +43,26 @@ def default_configs() -> list[MachineConfig]:
     return [pxly(1, 3), pxly(1, 6), pxly(2, 3), pxly(2, 6)]
 
 
-def run_table1(
-    loops: Sequence[Loop],
-    configs: Sequence[MachineConfig] | None = None,
-    thresholds: Sequence[int] = THRESHOLDS,
-    engine: Engine | None = None,
-    swap_estimator: SwapEstimator = SwapEstimator.MAXLIVE,
-) -> list[Table1Row]:
-    """Measure unified register requirements on every configuration.
+def jobs(loops: Sequence[Loop]) -> list[EvalJob]:
+    """Every loop's pressure measurement on each PxLy machine."""
+    return [
+        pressure_job(loop, machine)
+        for machine in default_configs()
+        for loop in loops
+    ]
 
-    ``swap_estimator`` rides into the pressure jobs so a shared engine can
-    reuse them with the Figure 6/7 drivers run under the same knob (the
-    table itself reads only the unified numbers).
+
+def build(
+    loops: Sequence[Loop], results: Sequence[PressureResult]
+) -> list[Table1Row]:
+    """One row per configuration from the results of :func:`jobs`.
+
+    The table reads only the unified requirements.
     """
-    engine = engine or serial_engine()
-    configs = list(configs) if configs is not None else default_configs()
+    n = len(loops)
     rows = []
-    for machine in configs:
-        reports = engine.pressure_reports(
-            loops, machine, swap_estimator=swap_estimator
-        )
+    for i, machine in enumerate(default_configs()):
+        reports = results[i * n:(i + 1) * n]
         requirements = [report.unified for report in reports]
         weights = [
             float(report.trip_count * report.ii) for report in reports
@@ -72,15 +72,20 @@ def run_table1(
                 config=machine.name,
                 static_percent={
                     t: 100.0 * fraction_fitting(requirements, t)
-                    for t in thresholds
+                    for t in THRESHOLDS
                 },
                 dynamic_percent={
                     t: 100.0 * fraction_fitting(requirements, t, weights)
-                    for t in thresholds
+                    for t in THRESHOLDS
                 },
             )
         )
     return rows
+
+
+def run_table1(loops: Sequence[Loop]) -> list[Table1Row]:
+    """Compute Table 1 on a serial engine."""
+    return build(loops, serial_engine().map(jobs(loops)))
 
 
 def table1_table(rows: Sequence[Table1Row]) -> Table:
@@ -125,21 +130,13 @@ def format_report(rows: Sequence[Table1Row]) -> str:
     return table1_table(rows).to_text()
 
 
-def main() -> None:  # pragma: no cover - CLI entry
-    from repro.workloads.suite import quick_suite
-
-    print(format_report(run_table1(list(quick_suite(120)))))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
-
-
 __all__ = [
     "THRESHOLDS",
     "Table1Row",
+    "build",
     "default_configs",
     "format_report",
+    "jobs",
     "over64_chart",
     "run_table1",
     "table1_table",

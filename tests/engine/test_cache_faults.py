@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.models import Model
 from repro.engine import cache as cache_module
-from repro.engine.cache import DB_NAME, ResultCache
+from repro.engine.cache import DB_NAME, SQLITE_HEADER, ResultCache
 from repro.engine.jobs import evaluate_job, pressure_job
 from repro.engine.pool import run_jobs
 from repro.machine.config import paper_config
@@ -73,14 +73,38 @@ class TestUnusableDatabase:
         directory.mkdir()
         garbage = os.urandom(8192)
         (directory / DB_NAME).write_bytes(garbage)
+        for sidecar in ("-wal", "-shm"):
+            (directory / f"{DB_NAME}{sidecar}").write_bytes(garbage)
+        bystander = directory / "notes.txt"
+        bystander.write_bytes(garbage)
         cache = ResultCache(directory=directory)
         assert _run(jobs, cache) == expected
         assert _run(jobs, ResultCache(directory=directory)) == expected
         assert cache.stats.stores == 0
         assert cache.disk_usage()["entries"] == 0
         assert cache.clear() == 0
-        # Not ours to repair: the bytes are left as they were.
-        assert (directory / DB_NAME).read_bytes() == garbage
+        # The garbage and its sidecars are gone; nothing else is touched.
+        assert sorted(p.name for p in directory.iterdir()) == ["notes.txt"]
+        assert bystander.read_bytes() == garbage
+        # Healed: the next put starts a fresh database that round-trips.
+        cache.put(jobs[0], expected[0])
+        assert cache.stats.stores == 1
+        assert ResultCache(directory=directory).get(jobs[0]) == expected[0]
+        assert _integrity(directory) == "ok"
+
+    def test_clear_keeps_a_database_it_can_open(
+        self, tmp_path, jobs, expected
+    ):
+        """A real database, even an empty one, is cleared, not deleted."""
+        directory = tmp_path / "cache"
+        directory.mkdir()
+        (directory / DB_NAME).touch()  # SQLite's own empty database
+        cache = ResultCache(directory=directory)
+        assert cache.clear() == 0
+        assert (directory / DB_NAME).exists()
+        assert _run(jobs, cache) == expected
+        assert cache.clear() == len(jobs)
+        assert (directory / DB_NAME).read_bytes().startswith(SQLITE_HEADER)
 
 
 class TestWriteFailures:

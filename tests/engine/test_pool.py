@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.performance import run_model
+from repro.analysis.performance import ModelRun, run_model
 from repro.core.models import Model
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import evaluate_job, pressure_job
@@ -71,10 +71,29 @@ class TestRunJobs:
         assert cold == warm
 
 
+def _model_run(engine, loops, machine, model, budget):
+    """A workload under one model through ``Engine.map``, as a ModelRun."""
+    evaluations = engine.map(
+        [evaluate_job(loop, machine, model, budget) for loop in loops]
+    )
+    return ModelRun(
+        model=model,
+        machine=machine,
+        register_budget=budget,
+        evaluations=tuple(evaluations),
+    )
+
+
+def _pressure_jobs(loops, machine):
+    return [pressure_job(loop, machine) for loop in loops]
+
+
 class TestEngine:
     def test_run_model_matches_direct(self, loops, machine):
-        engine = serial_engine()
-        via_engine = engine.run_model(loops, machine, Model.UNIFIED, 24)
+        """The engine's ModelRun against the dict reference pipeline."""
+        via_engine = _model_run(
+            serial_engine(), loops, machine, Model.UNIFIED, 24
+        )
         direct = run_model(loops, machine, Model.UNIFIED, 24)
         assert via_engine.cycles == direct.cycles
         assert via_engine.total_spills == direct.total_spills
@@ -82,44 +101,47 @@ class TestEngine:
         assert via_engine.loops_not_fitting == direct.loops_not_fitting
 
     def test_run_model_pooled_matches_serial(self, loops, machine):
-        pooled = Engine(workers=2).run_model(loops, machine, Model.SWAPPED, 24)
-        serial = Engine(workers=0).run_model(loops, machine, Model.SWAPPED, 24)
+        with Engine(workers=2) as engine:
+            pooled = _model_run(engine, loops, machine, Model.SWAPPED, 24)
+        serial = _model_run(
+            Engine(workers=0), loops, machine, Model.SWAPPED, 24
+        )
         assert pooled.evaluations == serial.evaluations
 
     def test_shared_engine_collapses_repeats(self, loops, machine):
         engine = serial_engine()
-        engine.pressure_reports(loops, machine)
+        engine.map(_pressure_jobs(loops, machine))
         before = engine.cache.stats.misses
-        engine.pressure_reports(loops, machine)  # Figure 7 after Figure 6
+        engine.map(_pressure_jobs(loops, machine))  # a second map, warm
         assert engine.cache.stats.misses == before
         assert engine.cache.stats.hits >= len(loops)
 
     def test_jobs_run_counter(self, loops, machine):
         engine = serial_engine()
-        engine.pressure_reports(loops, machine)
+        engine.map(_pressure_jobs(loops, machine))
         assert engine.jobs_run == len(loops)
 
     def test_worker_pool_reused_across_maps(self, loops, machine):
         with Engine(workers=2) as engine:
-            engine.pressure_reports(loops, machine)
+            engine.map(_pressure_jobs(loops, machine))
             first = engine._pool
-            engine.run_model(loops, machine, Model.UNIFIED, 24)
+            _model_run(engine, loops, machine, Model.UNIFIED, 24)
             assert engine._pool is first is not None
         assert engine._pool is None  # context exit released the workers
 
     def test_serial_engine_spawns_no_pool(self, loops, machine):
         engine = serial_engine()
-        engine.pressure_reports(loops, machine)
+        engine.map(_pressure_jobs(loops, machine))
         assert engine._pool is None
 
     def test_all_hits_map_spawns_no_pool(self, loops, machine, tmp_path):
         cache = ResultCache(directory=tmp_path / "c")
         with Engine(workers=2, cache=cache) as cold:
-            cold.pressure_reports(loops, machine)
+            cold.map(_pressure_jobs(loops, machine))
         with Engine(
             workers=2, cache=ResultCache(directory=tmp_path / "c")
         ) as warm:
-            warm.pressure_reports(loops, machine)
+            warm.map(_pressure_jobs(loops, machine))
             assert warm.cache.stats.misses == 0
             assert warm._pool is None  # warm path must not pay worker startup
 

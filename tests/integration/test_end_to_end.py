@@ -70,9 +70,9 @@ class TestSuitePipeline:
 
     def test_runner_smoke(self):
         """The run-everything driver produces all report sections."""
-        from repro.experiments.runner import run_all
+        from repro.experiments.runner import format_suite, run_suite
 
-        text = run_all(n_loops=10, spill_loops=4)
+        text = format_suite(run_suite(n_loops=10, spill_loops=4))
         for marker in (
             "Table 1",
             "Table 2",
