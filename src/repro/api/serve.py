@@ -43,6 +43,7 @@ import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Callable
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api.dispatch import InflightGate, TokenBucket
@@ -69,6 +70,11 @@ DEFAULT_MAX_INFLIGHT = 64
 #: the kernel drop connection bursts, which clients only notice as ~1 s
 #: SYN-retransmit stalls.
 LISTEN_BACKLOG = 256
+
+#: Header limits, the stdlib's (``http.client``): a longer line, or more
+#: lines than this in a header block (its blank end line counts), is a 431.
+MAX_HEADER_LINE = 65536
+MAX_HEADER_LINES = 100
 
 
 @dataclass
@@ -150,16 +156,157 @@ class ReproServer(ThreadingHTTPServer):
         super().handle_error(request, client_address)
 
 
+# ----------------------------------------------------------------------
+# Request head
+# ----------------------------------------------------------------------
+class _Headers:
+    """A request's header fields by lower-cased name; the first one wins."""
+
+    __slots__ = ("fields",)
+
+    def __init__(self) -> None:
+        self.fields: dict[str, str] = {}
+
+    def get(self, name: str, default: str = "") -> str:
+        return self.fields.get(name.lower(), default)
+
+
+class _BadHead(Exception):
+    """A request head refused before routing: ``status`` and a reason."""
+
+    def __init__(self, status: int, reason: str) -> None:
+        super().__init__(reason)
+        self.status = status
+
+
+def _read_headers(readline: Callable[[int], bytes]) -> _Headers:
+    """Read one header block, through its blank end line, by ``readline``.
+
+    The stdlib's limits and counting apply (431).  Two inputs that its
+    email parser let through are 400s, because a proxy in front may read
+    them differently: a second ``Content-Length``, and a line that is not
+    ``name: value`` (no colon, a blank or spaced name, or an obs-fold
+    continuation that starts with whitespace).
+    """
+    headers = _Headers()
+    fields = headers.fields
+    lines = 0
+    while True:
+        line = readline(MAX_HEADER_LINE + 1)
+        if len(line) > MAX_HEADER_LINE:
+            raise _BadHead(431, "Line too long")
+        lines += 1
+        if lines > MAX_HEADER_LINES:
+            raise _BadHead(431, "Too many headers")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, colon, value = line.decode("iso-8859-1").partition(":")
+        if not colon or name.split() != [name]:
+            raise _BadHead(400, "Malformed header line")
+        name = name.lower()
+        if name not in fields:
+            fields[name] = value.strip(" \t\r\n")
+        elif name == "content-length":
+            raise _BadHead(400, "More than one Content-Length header")
+
+
+def _http_version(version: str) -> tuple[int, int] | None:
+    """``HTTP/M.N`` as ``(M, N)`` by the stdlib's rules; ``None`` if bad."""
+    if not version.startswith("HTTP/"):
+        return None
+    numbers = version[5:].split(".")
+    # The stdlib's isdigit() test admits "²", which int() then refuses.
+    if len(numbers) != 2 or not all(
+        part.isdecimal() and len(part) <= 10 for part in numbers
+    ):
+        return None
+    return int(numbers[0]), int(numbers[1])
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     #: Socket timeout: an idle keep-alive connection, or a client that
     #: declared more body than it sends, releases its thread in bounded
     #: time instead of hanging it forever.
     timeout = 30
-    #: Responses go out as separate header and body writes; with Nagle on,
-    #: the body waits for the client's delayed ACK (~40 ms per request).
+    #: Buffered writes: a response's status line, headers and body leave
+    #: in one send when ``handle_one_request`` flushes.
+    wbufsize = -1
+    #: A stream flushes once per ndjson line, and a response over the 8 KiB
+    #: write buffer leaves in two sends; with Nagle on, a send that follows
+    #: an unacknowledged one waits for the client's delayed ACK (~40 ms).
     disable_nagle_algorithm = True
     server: ReproServer  # narrowed for type checkers
+    headers: _Headers  # type: ignore[assignment]  # not an email Message
+
+    def version_string(self) -> str:
+        """The ``Server`` header: the program, not the interpreter."""
+        return "repro"
+
+    def parse_request(self) -> bool:
+        """Parse the request line and header block, as the stdlib would.
+
+        Same request-line rules and answers as
+        :meth:`BaseHTTPRequestHandler.parse_request`, but the header
+        block is read by :func:`_read_headers` rather than through the
+        ``email`` parser, which cost most of a cache hit's parse time.
+        Returns False once an error response has been queued.
+        """
+        self.command = None  # type: ignore[assignment]
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = line
+        words = line.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _http_version(version)
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({line!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(
+                    400, f"Bad HTTP/0.9 request type ({command!r})"
+                )
+                return False
+        if path.startswith("//"):  # not an open redirect (gh-87389)
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+        try:
+            self.headers = _read_headers(self.rfile.readline)
+        except _BadHead as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            self.headers.get("Expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def handle_expect_100(self) -> bool:
+        """Send ``100 Continue`` now: the client waits for it to send."""
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     # ------------------------------------------------------------------
     # Envelope plumbing
@@ -356,7 +503,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> dict:
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             raise RequestValidationError("bad Content-Length header")
         if length < 0:

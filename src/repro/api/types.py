@@ -117,10 +117,11 @@ def _check(condition: bool, message: str) -> None:
 
 
 def _choice(value: str, known: Iterable[str], what: str) -> None:
-    _check(
-        value in tuple(known),
-        f"unknown {what} {value!r} (known: {', '.join(sorted(known))})",
-    )
+    known = tuple(known)
+    if value not in known:
+        raise RequestValidationError(
+            f"unknown {what} {value!r} (known: {', '.join(sorted(known))})"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -134,6 +135,8 @@ def _field_names(cls: type) -> tuple[str, ...]:
 
 def _encode(value: object) -> object:
     """Recursively lower a wire value to JSON-safe types."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value  # most values; bool is an int
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             name: _encode(getattr(value, name))

@@ -96,12 +96,19 @@ def default_cache_dir() -> Path:
 
 @dataclass
 class CacheStats:
-    """Hit/miss accounting for one cache instance."""
+    """Hit/miss accounting for one cache instance.
+
+    ``shared`` counts jobs that repeated a pending miss of the same map:
+    they were neither looked up nor computed, but took that miss's result
+    (see :func:`repro.engine.pool.run_jobs`).  So a map's ``hits + misses
+    + shared`` is its number of jobs, and the hit rate leaves them out.
+    """
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
     corrupt: int = 0
+    shared: int = 0
 
     @property
     def lookups(self) -> int:
@@ -117,13 +124,14 @@ class CacheStats:
             "misses": self.misses,
             "stores": self.stores,
             "corrupt": self.corrupt,
+            "shared": self.shared,
             "hit_rate": round(self.hit_rate, 4),
         }
 
     def summary(self) -> str:
         """The one-line form every CLI surface prints."""
         return (
-            f"{self.hits} hits / {self.misses} misses "
+            f"{self.hits} hits / {self.misses} misses / {self.shared} shared "
             f"({100 * self.hit_rate:.1f}% hit rate)"
         )
 

@@ -166,7 +166,7 @@ def run_jobs(
     duplicates: list[tuple[int, int]] = []  # (index, first index with key)
     for index, job in enumerate(jobs):
         # In-batch duplicates of a pending miss resolve by sharing, before
-        # the cache is consulted -- they are neither hits nor misses.
+        # the cache is consulted -- counted as shared, not hits or misses.
         first = seen_keys.get(job.key)
         if first is not None:
             duplicates.append((index, first))
@@ -179,6 +179,8 @@ def run_jobs(
             continue
         seen_keys[job.key] = index
         misses.append((index, job))
+    if cache is not None:
+        cache.stats.shared += len(duplicates)
 
     done = total - len(misses) - len(duplicates)
     if progress is not None and done:

@@ -255,6 +255,7 @@ def run_sweep(
             "misses": after.misses - before.misses,
             "stores": after.stores - before.stores,
             "corrupt": after.corrupt - before.corrupt,
+            "shared": after.shared - before.shared,
         }
     return SweepOutcome(
         spec=spec, points=resolved, elapsed=elapsed, cache_stats=stats
@@ -395,6 +396,7 @@ def format_outcome(outcome: SweepOutcome) -> str:
             misses=outcome.cache_stats.get("misses", 0),
             stores=outcome.cache_stats.get("stores", 0),
             corrupt=outcome.cache_stats.get("corrupt", 0),
+            shared=outcome.cache_stats.get("shared", 0),
         )
         footer += f"; cache: {stats.summary()}"
     return f"{table}\n\n{footer}"

@@ -3,6 +3,7 @@
 import http.client
 import json
 import os
+import socket
 import statistics
 import threading
 import time
@@ -178,8 +179,6 @@ class TestErrorEnvelopes:
         assert "include_text" in body["error"]["message"]
 
     def test_negative_content_length_is_400_not_a_hang(self, server):
-        import socket
-
         with socket.create_connection(
             ("127.0.0.1", server.port), timeout=10
         ) as sock:
@@ -266,8 +265,10 @@ class TestSocketLatency:
         assert server.request_queue_size == LISTEN_BACKLOG
 
     def test_warm_keepalive_hits_skip_the_delayed_ack_floor(self, server):
-        # Headers and body leave as two writes; with Nagle's algorithm on,
-        # the body waits for the client's delayed ACK, ~40 ms per request.
+        # A response leaves in one write only while it fits the 8 KiB write
+        # buffer, and a streamed sweep writes once per line; with Nagle's
+        # algorithm on, a write that follows an unacknowledged one waits
+        # for the client's delayed ACK, ~40 ms.
         body = json.dumps(EVALUATE).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         connection = http.client.HTTPConnection(
@@ -287,6 +288,229 @@ class TestSocketLatency:
         warm = elapsed[1:]  # the first request computes and caches
         assert envelope["result"]["cached"] is True
         assert statistics.median(warm) < 0.02, warm
+
+
+def _raw(server, data: bytes) -> bytes:
+    """All the server sends for ``data`` on a new connection, to its close.
+
+    A server that keeps the connection open fails this by timing out.
+    """
+    with socket.create_connection(
+        ("127.0.0.1", server.port), timeout=10
+    ) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _status(reply: bytes) -> int:
+    return int(reply.split(b" ", 2)[1])
+
+
+def _read_response(stream) -> tuple[int, dict, bytes]:
+    """One ``Content-Length`` response off a socket file."""
+    status = _status(stream.readline())
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("iso-8859-1").partition(":")
+        headers[name.lower()] = value.strip()
+    return status, headers, stream.read(int(headers["content-length"]))
+
+
+def _post(path: str, body: bytes, *lines: bytes) -> bytes:
+    """A raw HTTP/1.1 POST with extra header ``lines``."""
+    head = [
+        b"POST " + path.encode() + b" HTTP/1.1",
+        b"Host: localhost",
+        b"Content-Type: application/json",
+        *lines,
+    ]
+    return b"\r\n".join(head) + b"\r\n\r\n" + body
+
+
+PRESSURE_BODY = json.dumps(PRESSURE).encode()
+LENGTH = b"Content-Length: %d" % len(PRESSURE_BODY)
+
+
+class TestWireConformance:
+    """What a client sees of the request parser, as with the stdlib's."""
+
+    def test_server_header_names_the_program(self, server):
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=10
+        )
+        try:
+            connection.request("GET", "/v1/health")
+            response = connection.getresponse()
+            response.read()
+        finally:
+            connection.close()
+        assert response.status == 200
+        assert response.getheader("Server") == "repro"
+
+    # A request line refused before its version is accepted is answered
+    # as HTTP/0.9, the stdlib's way: no status line, the error page only.
+    def test_garbage_request_line_is_400(self, server):
+        reply = _raw(server, b"NOT A REQUEST LINE\r\n\r\n")
+        assert not reply.startswith(b"HTTP/")
+        assert b"Error code: 400" in reply
+
+    def test_http_2_is_505(self, server):
+        reply = _raw(server, b"GET /v1/health HTTP/2.0\r\n\r\n")
+        assert not reply.startswith(b"HTTP/")
+        assert b"Error code: 505" in reply
+
+    @pytest.mark.parametrize(
+        "version", [b"HTTP/1", b"HTTP/1.1.1", b"HTTP/1.\xb2", b"HTTX/1.1"]
+    )
+    def test_bad_version_is_400(self, server, version):
+        reply = _raw(server, b"GET /v1/health " + version + b"\r\n\r\n")
+        assert b"Error code: 400" in reply
+
+    def test_version_numbers_ignore_leading_zeros(self, server):
+        reply = _raw(
+            server,
+            b"GET /v1/health HTTP/01.001\r\nConnection: close\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 200 ")
+
+    def test_http_0_9_allows_only_get(self, server):
+        reply = _raw(server, b"POST /v1/pressure\r\n\r\n")
+        assert not reply.startswith(b"HTTP/")
+        assert b"Error code: 400" in reply
+        assert b"Bad HTTP/0.9 request type" in reply
+
+    @pytest.mark.parametrize(
+        "count, status", [(99, 200), (100, 431), (101, 431)]
+    )
+    def test_header_count_limit(self, server, count, status):
+        # The blank line that ends the block counts as one of 100 lines.
+        lines = [b"X-H%d: %d" % (i, i) for i in range(count - 1)]
+        reply = _raw(
+            server,
+            b"GET /v1/health HTTP/1.1\r\n"
+            + b"".join(line + b"\r\n" for line in lines)
+            + b"Connection: close\r\n\r\n",
+        )
+        assert _status(reply) == status
+
+    def test_header_line_length_limit(self, server):
+        def line(size: int) -> bytes:  # CRLF included
+            return b"X-Big: " + b"a" * (size - 9) + b"\r\n"
+
+        reply = _raw(
+            server,
+            b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n"
+            + line(65536)
+            + b"\r\n",
+        )
+        assert _status(reply) == 200
+        # Nothing follows the long line, so the server has read all of
+        # the request when it answers and closes.
+        reply = _raw(server, b"GET /v1/health HTTP/1.1\r\n" + line(65537))
+        assert _status(reply) == 431
+
+    def test_lowercase_content_length_is_honoured(self, server):
+        reply = _raw(
+            server,
+            _post(
+                "/v1/pressure",
+                PRESSURE_BODY,
+                LENGTH.lower(),
+                b"connection: close",
+            ),
+        )
+        assert _status(reply) == 200
+        envelope = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert envelope["result"]["type"] == "pressure.response"
+
+    def test_connection_close_closes_after_the_response(self, server):
+        reply = _raw(
+            server,
+            _post("/v1/pressure", PRESSURE_BODY, LENGTH, b"Connection: close"),
+        )
+        assert _status(reply) == 200
+        assert reply.endswith(b"}")  # one whole response, then the close
+
+    def test_http_1_0_closes_unless_kept_alive(self, server):
+        reply = _raw(server, b"GET /v1/health HTTP/1.0\r\n\r\n")
+        assert _status(reply) == 200
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            stream = sock.makefile("rb")
+            for _ in range(2):
+                sock.sendall(
+                    b"GET /v1/health HTTP/1.0\r\n"
+                    b"Connection: keep-alive\r\n\r\n"
+                )
+                status, _headers, body = _read_response(stream)
+                assert status == 200 and json.loads(body)["ok"]
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        body = PRESSURE_BODY + b" " * 2048  # over 1 KiB, as curl sends
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5
+        ) as sock:
+            stream = sock.makefile("rb")
+            start = time.perf_counter()
+            sock.sendall(
+                _post(
+                    "/v1/pressure",
+                    b"",
+                    b"Content-Length: %d" % len(body),
+                    b"Expect: 100-continue",
+                )
+            )
+            # A server that buffers the interim reply waits for the body
+            # while the client waits for the reply, until a timeout.
+            assert stream.readline().startswith(b"HTTP/1.1 100 ")
+            assert stream.readline() == b"\r\n"
+            sock.sendall(body)
+            status, _headers, payload = _read_response(stream)
+            elapsed = time.perf_counter() - start
+        assert status == 200 and json.loads(payload)["ok"]
+        assert elapsed < 0.5, elapsed
+
+    def test_two_content_lengths_are_400(self, server):
+        reply = _raw(
+            server,
+            _post(
+                "/v1/pressure",
+                PRESSURE_BODY,
+                LENGTH,
+                b"Content-Length: 0",
+                b"Connection: close",
+            ),
+        )
+        assert _status(reply) == 400
+
+    @pytest.mark.parametrize(
+        "line",
+        [b"X-Note: one\r\n  folded", b"NoColonHere", b"X-Note : spaced"],
+        ids=["obs-fold", "no-colon", "spaced-name"],
+    )
+    def test_malformed_header_line_is_400(self, server, line):
+        reply = _raw(
+            server,
+            _post(
+                "/v1/pressure",
+                PRESSURE_BODY,
+                LENGTH,
+                b"Connection: close",
+                line,
+            ),
+        )
+        assert _status(reply) == 400
+
+    def test_double_slash_path_is_collapsed(self, server):
+        reply = _raw(
+            server, b"GET //v1/health HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        assert _status(reply) == 200
+        assert b'"status": "serving"' in reply
 
 
 class TestBackpressure:
@@ -388,6 +612,49 @@ class TestStreaming:
         for volatile in ("elapsed", "cache_hits", "cache_misses", "text"):
             streamed.pop(volatile), expected.pop(volatile)
         assert streamed == expected
+
+    def test_stream_lines_leave_as_they_are_produced(
+        self, server, monkeypatch
+    ):
+        """Each ndjson line is on the wire before the next is produced."""
+        released = threading.Event()
+
+        def sweep_stream(request):
+            yield {"event": "point", "index": 0, "total": 2}
+            released.wait(30)  # until the client has read the first line
+            yield {"event": "point", "index": 1, "total": 2}
+            yield {"event": "result", "response": {}}
+
+        monkeypatch.setattr(server.session, "sweep_stream", sweep_stream)
+        body = json.dumps({"name": "rf-size", "n_loops": 3}).encode()
+        events = []
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=5
+        ) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(
+                _post(
+                    "/v1/sweep?stream=1",
+                    body,
+                    b"Content-Length: %d" % len(body),
+                    b"Connection: close",
+                )
+            )
+            try:
+                assert _status(stream.readline()) == 200
+                while stream.readline() != b"\r\n":
+                    pass
+                while size := int(stream.readline(), 16):
+                    chunk = stream.read(size)
+                    assert stream.read(2) == b"\r\n"
+                    # One line per chunk, each whole.
+                    assert chunk.count(b"\n") == 1 and chunk.endswith(b"\n")
+                    events.append(json.loads(chunk))
+                    released.set()
+            finally:
+                released.set()
+        assert [e.get("index") for e in events] == [0, 1, None]
+        assert all(e["ok"] for e in events)
 
     def test_stream_request_validation_still_an_http_error(self, server):
         status, body = _request(

@@ -86,3 +86,17 @@ def test_standalone_run_maps_once(maps):
     assert len(maps) == 1
     policies = {job.victim_policy for job in maps[0]}
     assert policies == {"longest", "most_registers"}  # Ideal keeps defaults
+
+
+def test_cold_suite_accounts_for_every_point():
+    """Each point is a hit, a miss or shared with an earlier repeat."""
+    engine = serial_engine()
+    suite = run_suite(N_LOOPS, spill_loops=6, engine=engine)
+    stats = engine.cache.stats
+    assert stats.hits == 0 and stats.shared > 0
+    assert stats.hits + stats.misses + stats.shared == suite.engine_jobs
+    assert f"/ {stats.shared} shared (0.0% hit rate)" in stats.summary()
+    # Warm, every point is a hit: only a pending miss is shared.
+    run_suite(N_LOOPS, spill_loops=6, engine=engine)
+    assert stats.hits == suite.engine_jobs
+    assert stats.hits + stats.misses + stats.shared == 2 * suite.engine_jobs
