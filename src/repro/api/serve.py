@@ -170,6 +170,9 @@ class _Headers:
     def get(self, name: str, default: str = "") -> str:
         return self.fields.get(name.lower(), default)
 
+    def __contains__(self, name: str) -> bool:
+        return name.lower() in self.fields
+
 
 class _BadHead(Exception):
     """A request head refused before routing: ``status`` and a reason."""
@@ -426,6 +429,16 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         split = urlsplit(self.path)
         path = split.path
+        try:
+            # The body must leave the socket before any answer, a 404 or a
+            # refusal included, or its bytes would start the next
+            # keep-alive request; it is bounded (MAX_BODY_BYTES), so
+            # admission control after the read still sheds all meaningful
+            # load.
+            raw = self._read_body()
+        except Exception as exc:  # noqa: BLE001 - envelope, never a trace
+            self._fail_exc(exc)
+            return
         if path == "/v1/shutdown":
             self._ok({"status": "shutting down"})
             # shutdown() joins the serve loop; calling it from a handler
@@ -448,11 +461,7 @@ class _Handler(BaseHTTPRequestHandler):
             and parse_qs(split.query).get("stream", ["0"])[-1] == "1"
         )
         try:
-            # The body must leave the socket before a refusal, or its
-            # leftover bytes would corrupt the next keep-alive request;
-            # it is bounded (MAX_BODY_BYTES), so admission control right
-            # after the read still sheds all meaningful load.
-            body = self._read_body()
+            body = _json_object(raw)
             wait = self.server.bucket.try_acquire()
             if wait > 0:
                 raise ServerSaturatedError(
@@ -501,14 +510,29 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             self._stream_end()
 
-    def _read_body(self) -> dict:
+    def _read_body(self) -> bytes:
+        """The request body's bytes, framed by ``Content-Length`` only.
+
+        A ``Transfer-Encoding`` body is refused and the connection
+        dropped: read as no body, its chunks would be parsed as the next
+        request, while a proxy in front would see one request (request
+        smuggling).
+        """
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            raise RequestValidationError(
+                "Transfer-Encoding request bodies are not accepted; "
+                "send the body with a Content-Length"
+            )
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
+            self.close_connection = True  # the body's end is unknown
             raise RequestValidationError("bad Content-Length header")
         if length < 0:
             # rfile.read(-N) would mean read-to-EOF and hang the thread
             # on a connection the client keeps open.
+            self.close_connection = True
             raise RequestValidationError("negative Content-Length header")
         if length > MAX_BODY_BYTES:
             # Drain (boundedly) so the 413 reaches a client still writing,
@@ -524,14 +548,18 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
             )
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            data = json.loads(raw or b"{}")
-        except json.JSONDecodeError as exc:
-            raise RequestValidationError(f"request body is not JSON: {exc}")
-        if not isinstance(data, dict):
-            raise RequestValidationError("request body must be an object")
-        return data
+        return self.rfile.read(length) if length else b""
+
+
+def _json_object(raw: bytes) -> dict:
+    """A request body parsed as a JSON object; no body reads as ``{}``."""
+    try:
+        data = json.loads(raw or b"{}")
+    except json.JSONDecodeError as exc:
+        raise RequestValidationError(f"request body is not JSON: {exc}")
+    if not isinstance(data, dict):
+        raise RequestValidationError("request body must be an object")
+    return data
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,7 @@ from repro.machine.config import MachineConfig
 from repro.regalloc.allocation import UnifiedAllocation
 from repro.regalloc.firstfit import PlacedLifetime
 from repro.regalloc.lifetimes import Lifetime
-from repro.sched.mii import edge_delay, minimum_ii
+from repro.sched.mii import MiiProbe, edge_delay, minimum_ii
 from repro.sched.schedule import Schedule
 from repro.spill.spiller import LoopEvaluation
 
@@ -360,30 +360,40 @@ def check_resources(schedule: Schedule) -> list[Finding]:
 
 
 def check_mii(evaluation: LoopEvaluation, schedule: Schedule) -> list[Finding]:
-    """Recompute both MII bounds; prove MII <= II and the original claim."""
+    """Prove MII <= II of the final graph and the original MII claim.
+
+    ``MII <= x`` is monotone in ``x``, so each proof is a probe
+    (:class:`~repro.sched.mii.MiiProbe`) rather than the MII search: one
+    at the II, and two for the claim ``m`` (``MII <= m`` and not
+    ``MII <= m - 1``).  :func:`minimum_ii` runs only to report the MII a
+    finding expected.
+    """
     findings: list[Finding] = []
-    final_mii = minimum_ii(schedule.graph, schedule.machine).mii
-    if final_mii > schedule.ii:
+    final = MiiProbe(schedule.graph, schedule.machine)
+    if not final.at_most(schedule.ii):
         findings.append(
             Finding(
                 kind="mii",
                 message=(
                     "II below the recomputed MII of the final graph"
                 ),
-                expected=final_mii,
+                expected=minimum_ii(schedule.graph, schedule.machine).mii,
                 observed=schedule.ii,
             )
         )
     claimed = evaluation.mii
-    original = minimum_ii(
-        evaluation.loop.graph, evaluation.machine
-    ).mii
-    if claimed != original:
+    graph, machine = evaluation.loop.graph, evaluation.machine
+    original = (
+        final
+        if graph is schedule.graph and machine is schedule.machine
+        else MiiProbe(graph, machine)
+    )
+    if not original.at_most(claimed) or original.at_most(claimed - 1):
         findings.append(
             Finding(
                 kind="mii",
                 message="claimed MII differs from recomputation",
-                expected=original,
+                expected=minimum_ii(graph, machine).mii,
                 observed=claimed,
             )
         )

@@ -29,6 +29,9 @@ exact first-fit allocation cannot fit either, so the expensive allocation is
 skipped entirely on the interior of a spill walk and only computed where a
 halt decision actually needs it (MaxLive is a lower bound on any legal
 rotating allocation; the per-cluster/global peaks bound the dual models).
+A Swapped walk past that bound still reads the swap search's own estimate,
+the worst subfile's MaxLive after the search, before it pays for the dual
+allocation.
 
 Every number produced here is pinned bit-identical to the dict reference
 (the pass pipeline over :mod:`repro.sched`, :mod:`repro.regalloc` and
@@ -361,6 +364,7 @@ class _Node:
         "_spill_child",
         "_esc_child",
         "_exact",
+        "_swap",
         "_dual_lb",
         "_spilled_op",
         "_graph",
@@ -405,6 +409,7 @@ class _Node:
         self._spill_child: "_Node | None" = None
         self._esc_child: "_Node | None" = None
         self._exact: dict[object, _Exact] = {}
+        self._swap: dict[SwapEstimator, _SwapTrace] = {}
         self._dual_lb: int | None = None
         self._spilled_op = spilled_op
         self._graph = graph
@@ -692,27 +697,43 @@ class _Node:
         )
         return _Exact(registers, shifts, masks, swap)
 
+    def swap_trace(self, estimator: SwapEstimator) -> _SwapTrace:
+        """The greedy swap search's trace (memoized per estimator).
+
+        Its ``estimate_after`` bounds the Swapped requirement from below:
+        under either estimator each subfile needs at least its own
+        MaxLive registers, and the FIRSTFIT estimate is the allocation's
+        own count.
+        """
+        trace = self._swap.get(estimator)
+        if trace is None:
+            la = self.la
+            times, insts, ii = self.sched
+            starts, ends = self.bounds
+            rows = [t % ii for t in times]
+            insts = list(insts)
+            asg = list(self.asg)
+            swaps, moves, before, after = greedy_swap_search(
+                la,
+                ii,
+                rows,
+                insts,
+                asg,
+                starts,
+                ends,
+                estimator is SwapEstimator.FIRSTFIT,
+                1000,
+                False,
+            )
+            trace = self._swap[estimator] = (
+                asg, insts, swaps, moves, before, after
+            )
+        return trace
+
     def _swapped(self, estimator: SwapEstimator) -> _Exact:
         """Greedy swap then dual allocation: ``swapped_requirement`` exactly."""
-        la = self.la
-        times, insts, ii = self.sched
-        starts, ends = self.bounds
-        rows = [t % ii for t in times]
-        insts = list(insts)
-        asg = list(self.asg)
-        swaps, moves, before, after = greedy_swap_search(
-            la,
-            ii,
-            rows,
-            insts,
-            asg,
-            starts,
-            ends,
-            estimator is SwapEstimator.FIRSTFIT,
-            1000,
-            False,
-        )
-        return self._dual(asg, (asg, insts, swaps, moves, before, after))
+        trace = self.swap_trace(estimator)
+        return self._dual(trace[0], trace)
 
     # ------------------------------------------------------------------
     # Transitions (model-independent: shared by every walk)
@@ -1014,7 +1035,11 @@ class LoopChain:
                 registers = node.requirement(model, estimator)
                 halted = True
                 break
-            if node.lower_bound(model) <= budget:
+            if node.lower_bound(model) <= budget and (
+                model is not Model.SWAPPED
+                # estimate_after: also below the Swapped requirement
+                or node.swap_trace(estimator)[5] <= budget
+            ):
                 registers = node.requirement(model, estimator)
                 if registers <= budget:
                     halted = True

@@ -4,7 +4,10 @@ Bit-for-bit the algorithm of :func:`repro.sched.modulo._attempt` -- same
 priority function, same tie breaks, same displacement rule, same operation
 budget -- with the dict-of-tuples MRT replaced by one occupancy word per
 (kernel row, pool).  The free-instance probe becomes "lowest zero bit of
-the word" and unschedule/place become single bit operations.
+the word" and unschedule/place become single bit operations.  A second
+word per pool marks the rows that still have a free unit, so the window
+search finds its first open row with two bit operations instead of
+scanning up to II rows of a saturated pool.
 
 Operation indices ascend with op ids (see :mod:`repro.kernel.loop`), so
 every id-based tie break below is expressed on indices unchanged.
@@ -121,8 +124,10 @@ def attempt(
         rank[i] = r
     cursor = 0
 
-    # MRT: one occupancy word per (row, pool) cell.
+    # MRT: one occupancy word per (row, pool) cell, and per pool a mask of
+    # the rows with a free unit.
     occ_mask = [0] * (ii * n_pools)
+    open_rows = [(1 << ii) - 1] * n_pools
 
     while n_unscheduled:
         if budget <= 0:
@@ -144,24 +149,31 @@ def attempt(
                 if bound > estart:
                     estart = bound
 
-        # Search the II-wide window for a free slot.
-        chosen_time = -1
-        chosen_inst = -1
-        for t in range(estart, estart + ii):
-            cell = (t % ii) * n_pools + p
-            free = ~occ_mask[cell] & full
-            if free:
-                chosen_time = t
-                chosen_inst = (free & -free).bit_length() - 1
-                break
-
-        if chosen_time < 0:
+        # The II-wide window from estart visits rows r0..II-1, then 0..r0-1:
+        # its first open row is the lowest open row at or after r0, else
+        # the lowest open row overall.
+        rows = open_rows[p]
+        if not rows:
             raise ValueError(
                 f"no free {ma.names[p]} unit in any row at II={ii}: "
                 f"II is below ResMII"
             )
-
-        occ_mask[(chosen_time % ii) * n_pools + p] |= 1 << chosen_inst
+        r0 = estart % ii
+        ahead = rows >> r0
+        if ahead:
+            skip = (ahead & -ahead).bit_length() - 1
+        else:
+            skip = ii - r0 + (rows & -rows).bit_length() - 1
+        chosen_time = estart + skip
+        row = chosen_time % ii
+        cell = row * n_pools + p
+        occ = occ_mask[cell]
+        free = ~occ & full
+        chosen_inst = (free & -free).bit_length() - 1
+        occ |= 1 << chosen_inst
+        occ_mask[cell] = occ
+        if occ == full:
+            open_rows[p] = rows & ~(1 << row)
         time[op] = chosen_time
         inst[op] = chosen_inst
         unscheduled[op] = False
@@ -173,7 +185,10 @@ def attempt(
             if dst == op or t < 0:
                 continue
             if t < chosen_time + delay - ii * dist:
-                occ_mask[(t % ii) * n_pools + pool[dst]] &= ~(1 << inst[dst])
+                row = t % ii
+                q = pool[dst]
+                occ_mask[row * n_pools + q] &= ~(1 << inst[dst])
+                open_rows[q] |= 1 << row
                 time[dst] = -1
                 inst[dst] = -1
                 unscheduled[dst] = True

@@ -10,6 +10,10 @@
   which the graph with edge weights ``delay(e) - II * distance(e)`` has no
   positive-weight cycle; found by binary search with a Bellman-Ford-style
   positive-cycle test.
+
+Because edge weights only fall as II grows, ``MII <= ii`` is monotone in
+``ii``.  :class:`MiiProbe` decides it with ResMII and at most one
+positive-cycle test, which is all a proof of a *given* II needs.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.ir.ddg import DependenceGraph, Edge, EdgeKind
+from repro.ir.ddg import DependenceGraph, Edge, EdgeKind, ValueRef
 from repro.machine.config import MachineConfig
 
 
@@ -45,12 +49,32 @@ def res_mii(graph: DependenceGraph, machine: MachineConfig) -> int:
     )
 
 
+def _weighted_edges(
+    graph: DependenceGraph, machine: MachineConfig
+) -> list[tuple[int, int, int, int]]:
+    """``(src, dst, delay, distance)`` per dependence edge.
+
+    Flow edges are read straight off the operands (delay: the producer's
+    latency, as :func:`edge_delay` gives it) rather than through
+    :class:`Edge` records; explicit edges follow.
+    """
+    latency = {op.op_id: machine.latency_of(op) for op in graph.operations}
+    edges = [
+        (ref.producer, op.op_id, latency[ref.producer], ref.distance)
+        for op in graph.operations
+        for ref in op.operands
+        if isinstance(ref, ValueRef)
+    ]
+    edges.extend(
+        (e.src, e.dst, edge_delay(e, graph, machine), e.distance)
+        for e in graph.extra_edges()
+    )
+    return edges
+
+
 def rec_mii(graph: DependenceGraph, machine: MachineConfig) -> int:
     """Recurrence-constrained lower bound on the initiation interval."""
-    edges = [
-        (e.src, e.dst, edge_delay(e, graph, machine), e.distance)
-        for e in graph.edges()
-    ]
+    edges = _weighted_edges(graph, machine)
     if not any(dist > 0 for *_, dist in edges):
         # Acyclic graph (validation rejects zero-distance cycles): RecMII = 1.
         return 1
@@ -107,4 +131,37 @@ def minimum_ii(graph: DependenceGraph, machine: MachineConfig) -> MiiReport:
     return MiiReport(res=res_mii(graph, machine), rec=rec_mii(graph, machine))
 
 
-__all__ = ["MiiReport", "edge_delay", "minimum_ii", "rec_mii", "res_mii"]
+class MiiProbe:
+    """Decides ``minimum_ii(graph, machine).mii <= ii`` without the search.
+
+    ResMII and the weighted edge list are computed once; each
+    :meth:`at_most` then costs at most one positive-cycle test.  That is
+    exact: RecMII is the least II >= 1 without a positive cycle (1 for a
+    graph with no loop-carried edge), and having none is monotone in II.
+    So ``MII <= ii`` holds iff ``ii >= ResMII`` (which is at least 1) and
+    the graph is acyclic or has no positive cycle at ``ii``.
+    """
+
+    def __init__(self, graph: DependenceGraph, machine: MachineConfig) -> None:
+        self.graph = graph
+        self.res = res_mii(graph, machine)
+        self.edges = _weighted_edges(graph, machine)
+        self.carried = any(dist > 0 for *_, dist in self.edges)
+
+    def at_most(self, ii: int) -> bool:
+        """Whether the graph's MII is at most ``ii``."""
+        if ii < self.res:
+            return False
+        return not (
+            self.carried and _has_positive_cycle(self.graph, self.edges, ii)
+        )
+
+
+__all__ = [
+    "MiiProbe",
+    "MiiReport",
+    "edge_delay",
+    "minimum_ii",
+    "rec_mii",
+    "res_mii",
+]

@@ -512,6 +512,49 @@ class TestWireConformance:
         assert _status(reply) == 200
         assert b'"status": "serving"' in reply
 
+    def test_chunked_body_is_400_and_closes(self, server):
+        """A chunked body is refused, not read as ``{}`` with its chunks
+        parsed as the next request: one response, then the close."""
+        chunk = b"%x\r\n%s\r\n0\r\n\r\n" % (
+            len(PRESSURE_BODY), PRESSURE_BODY
+        )
+        reply = _raw(
+            server,
+            _post("/v1/pressure", chunk, b"Transfer-Encoding: chunked"),
+        )
+        assert _status(reply) == 400
+        assert reply.count(b"HTTP/1.") == 1, reply
+        envelope = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert "Transfer-Encoding" in envelope["error"]["message"]
+
+    @pytest.mark.parametrize("length", [b"-1", b"ten"])
+    def test_unframeable_content_length_is_400_and_closes(
+        self, server, length
+    ):
+        """With no body end to read to, the server cannot find the next
+        request: it answers once and closes."""
+        reply = _raw(
+            server,
+            _post("/v1/pressure", PRESSURE_BODY, b"Content-Length: " + length),
+        )
+        assert _status(reply) == 400
+        assert reply.count(b"HTTP/1.") == 1, reply
+
+    def test_unknown_route_body_is_read_before_the_404(self, server):
+        """The 404's unread body must not start the next request."""
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(
+                _post("/v1/teleport", b"{}", b"Content-Length: 2")
+                + b"GET /v1/health HTTP/1.1\r\nHost: localhost\r\n\r\n"
+            )
+            first, _headers, _body = _read_response(stream)
+            second, _headers, body = _read_response(stream)
+        assert (first, second) == (404, 200)
+        assert json.loads(body)["result"]["status"] == "serving"
+
 
 class TestBackpressure:
     def test_rate_limit_answers_429_with_retry_after(self):

@@ -25,6 +25,7 @@ from repro.ir.operation import OpType
 from repro.machine.config import paper_config
 from repro.pipeline.pipelines import run_evaluation
 from repro.regalloc.firstfit import AllocationResult, PlacedLifetime, first_fit
+from repro.sched.mii import minimum_ii
 from repro.workloads.kernels import all_kernels
 
 SEAM = "repro.check.invariants.allocation_of"
@@ -192,6 +193,54 @@ def test_inflated_register_claim_is_caught(loop, machine, monkeypatch):
     assert not check.ok
     kinds = {f.kind for f in check.findings}
     assert "requirement" in kinds, check.describe()
+
+
+def _mii_findings(check) -> list[tuple[str, object, object]]:
+    return [
+        (f.kind, f.expected, f.observed)
+        for f in check.findings
+        if f.kind == "mii"
+    ]
+
+
+# daxpy's MII is ResMII-bound (2 > RecMII 1), iccg's RecMII-bound (6 > 2),
+# and horner8 at 6 registers spills until its final graph's ResMII rises.
+MII_POINTS = [("daxpy", 32), ("iccg", 32), ("horner8", 6)]
+
+
+@pytest.mark.parametrize("name,budget", MII_POINTS)
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_misclaimed_mii_is_caught(name, budget, delta, machine):
+    """A claimed MII one off the recomputation is a ``mii`` finding that
+    names the recomputed MII; the true claim is proved."""
+    loop = {k.name: k for k in all_kernels()}[name]
+    evaluation = run_evaluation(loop, machine, Model.UNIFIED, budget)
+    true_mii = minimum_ii(loop.graph, machine).mii
+    assert evaluation.mii == true_mii
+    assert _mii_findings(check_evaluation(evaluation)) == []
+
+    lie = dataclasses.replace(evaluation, mii=true_mii + delta)
+    assert _mii_findings(check_evaluation(lie)) == [
+        ("mii", true_mii, true_mii + delta)
+    ]
+
+
+@pytest.mark.parametrize("name,budget", MII_POINTS)
+def test_schedule_below_final_mii_is_caught(name, budget, machine, monkeypatch):
+    """A schedule whose II is one below its final graph's MII is a ``mii``
+    finding naming that MII; at exactly the MII there is none."""
+    loop = {k.name: k for k in all_kernels()}[name]
+    evaluation = run_evaluation(loop, machine, Model.UNIFIED, budget)
+    schedule, allocation = allocation_of(evaluation)
+    final_mii = minimum_ii(schedule.graph, machine).mii
+    assert final_mii >= 2
+
+    for ii, expected in ((final_mii, []), (final_mii - 1, [
+        ("mii", final_mii, final_mii - 1)
+    ])):
+        squeezed = dataclasses.replace(schedule, ii=ii)
+        monkeypatch.setattr(SEAM, lambda _ev: (squeezed, allocation))
+        assert _mii_findings(check_evaluation(evaluation)) == expected
 
 
 def test_mutation_seam_is_module_level(monkeypatch):

@@ -17,6 +17,7 @@ from repro.regalloc.firstfit import IntervalSet
 from repro.regalloc.firstfit import first_fit_shift as legacy_shift
 from repro.regalloc.lifetimes import Lifetime
 from repro.regalloc.maxlive import live_at
+from repro.sched.modulo import _attempt
 
 
 class TestBitOccupancy:
@@ -189,3 +190,33 @@ class TestModuloAttempt:
         assert kmodulo.attempt(la, 3, 16) is not None
         with pytest.raises(ValueError, match="below ResMII"):
             kmodulo.attempt(la, 2, 16)
+
+    def test_saturated_pool_wraps_to_the_first_open_row(self):
+        """The open-row mask finds the window's first open row after it
+        wraps past row II-1, as the dict reference's row scan does.
+
+        Six memory ops on two units saturate the pool at ResMII = 3.  The
+        loads fill row 0; all four stores become ready at cycle 26 (row
+        2), so two take row 2 and the other two must wrap past row 2 and
+        row 0 to row 1, at cycle 28.
+        """
+        b = LoopBuilder("wrapping_stores")
+        x = b.mul(b.load("a"), b.load("b"))
+        for _ in range(3):
+            x = b.add(x, "c")
+        for k in range(4):
+            b.store(x, f"out{k}")
+        loop = b.build()
+        machine = paper_config(6)
+        la = lower_loop(loop.graph, machine)
+        assert array_mii(la) == (3, 1)
+        memory = [i for i in range(la.n) if la.ma.names[la.pool[i]] == "mem"]
+        assert len(memory) == 2 * 3  # every (row, unit) of the pool taken
+
+        times, insts = kmodulo.attempt(la, 3, 16)
+        reference = _attempt(loop.graph, machine, 3, 16)
+        assert [(times[i], insts[i]) for i in range(la.n)] == [
+            (reference[op_id].time, reference[op_id].instance)
+            for op_id in la.ids
+        ]
+        assert sorted(times[i] for i in memory[2:]) == [26, 26, 28, 28]
