@@ -12,9 +12,8 @@ The package implements the paper's complete pipeline in pure Python:
 * :mod:`repro.core` -- the contribution: non-consistent dual register
   files (GL/LO/RO classification, dual allocation, greedy swapping, the
   Ideal/Unified/Partitioned/Swapped models);
-* :mod:`repro.pipeline` -- the pass pipeline: composable per-loop flows
-  over a memoizing :class:`~repro.pipeline.context.PassContext`, with
-  pluggable spill/escalation policies;
+* :mod:`repro.pipeline` -- the pluggable spill/escalation policies and the
+  dict reference of the Section 5.4 loop;
 * :mod:`repro.spill` -- the naive spiller and traffic metrics;
 * :mod:`repro.sim` -- a verifying cycle-level kernel simulator;
 * :mod:`repro.workloads` -- kernels and the calibrated Perfect-Club-like
@@ -84,16 +83,8 @@ if TYPE_CHECKING:
         paper_config,
         pxly,
     )
-    from repro.pipeline import (
-        ArtifactStore,
-        PassContext,
-        Pipeline,
-        SPILL_POLICIES,
-        evaluation_pipeline,
-        pressure_pipeline,
-        run_evaluation,
-        run_pressure,
-    )
+    from repro.pipeline.pipelines import run_evaluation, run_pressure
+    from repro.pipeline.policies import SPILL_POLICIES
     from repro.report import ReportResult, generate_report
     from repro.sched.compact import compact_schedule
     from repro.sched.modulo import modulo_schedule, schedule_loop
@@ -135,14 +126,9 @@ _EXPORTS: dict[str, str] = {
     "example_config": "repro.machine.config",
     "paper_config": "repro.machine.config",
     "pxly": "repro.machine.config",
-    "ArtifactStore": "repro.pipeline",
-    "PassContext": "repro.pipeline",
-    "Pipeline": "repro.pipeline",
-    "SPILL_POLICIES": "repro.pipeline",
-    "evaluation_pipeline": "repro.pipeline",
-    "pressure_pipeline": "repro.pipeline",
-    "run_evaluation": "repro.pipeline",
-    "run_pressure": "repro.pipeline",
+    "run_evaluation": "repro.pipeline.pipelines",
+    "run_pressure": "repro.pipeline.pipelines",
+    "SPILL_POLICIES": "repro.pipeline.policies",
     "ReportResult": "repro.report",
     "generate_report": "repro.report",
     "compact_schedule": "repro.sched.compact",
@@ -157,7 +143,6 @@ __version__ = "1.0.0"
 __all__ = [
     "API_SCHEMA_VERSION",
     "ApiError",
-    "ArtifactStore",
     "Engine",
     "EvaluateRequest",
     "ExperimentRequest",
@@ -176,8 +161,6 @@ __all__ = [
     "LoopEvaluation",
     "MachineConfig",
     "Model",
-    "PassContext",
-    "Pipeline",
     "PressureReport",
     "ReportResult",
     "Requirement",
@@ -188,14 +171,12 @@ __all__ = [
     "compact_schedule",
     "default_cache_dir",
     "evaluate_loop",
-    "evaluation_pipeline",
     "example_config",
     "format_outcome",
     "generate_report",
     "modulo_schedule",
     "named_sweep",
     "paper_config",
-    "pressure_pipeline",
     "pressure_report",
     "pxly",
     "required_registers",

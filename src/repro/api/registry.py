@@ -50,8 +50,11 @@ from repro.experiments import (
     figure9,
     table1,
 )
-from repro.pipeline.pipelines import PRESSURE_STRATEGIES
-from repro.pipeline.policies import II_ESCALATIONS, SPILL_POLICIES
+from repro.pipeline.policies import (
+    II_ESCALATIONS,
+    PRESSURE_STRATEGIES,
+    SPILL_POLICIES,
+)
 from repro.workloads.kernels import kernel_names
 from repro.workloads.suite import DEFAULT_SEED
 

@@ -417,6 +417,13 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
         path = urlsplit(self.path).path
+        try:
+            # A GET carries no meaning in a body, but a declared one must
+            # still leave the socket, as in ``do_POST``.
+            self._read_body()
+        except Exception as exc:  # noqa: BLE001 - envelope, never a trace
+            self._fail_exc(exc)
+            return
         if path in ("/v1/health", "/health"):
             self._ok(self._health())
         elif path == "/v1/experiments":
@@ -440,7 +447,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._fail_exc(exc)
             return
         if path == "/v1/shutdown":
-            self._ok({"status": "shutting down"})
+            # Close this connection too: server_close() joins every handler
+            # thread, and a requester keeping its socket open would hold
+            # this one until the idle timeout.
+            self._send(
+                200,
+                {"ok": True, "result": {"status": "shutting down"}},
+                {"Connection": "close"},
+            )
             # shutdown() joins the serve loop; calling it from a handler
             # thread is safe, from the loop's own thread it would deadlock.
             threading.Thread(

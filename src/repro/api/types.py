@@ -40,8 +40,11 @@ from repro.machine.config import (
     paper_config,
     pxly,
 )
-from repro.pipeline.pipelines import PRESSURE_STRATEGIES
-from repro.pipeline.policies import get_escalation, get_policy
+from repro.pipeline.policies import (
+    PRESSURE_STRATEGIES,
+    get_escalation,
+    get_policy,
+)
 from repro.workloads.kernels import example_loop, kernel_names, make_kernel
 from repro.workloads.suite import DEFAULT_SEED, suite_loop
 

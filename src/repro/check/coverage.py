@@ -14,10 +14,8 @@ and serve: one :class:`~repro.kernel.batch.LoopChain` per loop serves all
 of the loop's models, and each walk's exit node is materialized
 (:meth:`~repro.kernel.batch.LoopChain.materialize`) into the schedule and
 allocation the proof reads.  :func:`chain_claims` additionally holds the
-chain's served summary numbers to those artifacts.  Knobs without an array
-implementation fall back to the per-point
-:func:`~repro.pipeline.pipelines.run_evaluation` under the engine's own
-routing rule (:func:`repro.kernel.batch.supports`).
+chain's served summary numbers to those artifacts.  Every victim policy is
+a key the chain calls, so every knob setting walks a chain here too.
 
 Layering: ``check`` sits below ``validate`` (validate imports check and
 folds findings into its reports), so the model grid and suite defaults
@@ -34,9 +32,8 @@ from repro.check.invariants import Finding, StaticCheck, check_evaluation
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.ir.loop import Loop
-from repro.kernel.batch import BatchEvaluation, LoopChain, supports
+from repro.kernel.batch import BatchEvaluation, LoopChain
 from repro.machine.config import MachineConfig, paper_config
-from repro.pipeline.pipelines import run_evaluation
 from repro.spill.spiller import LoopEvaluation
 from repro.workloads.suite import DEFAULT_SEED, perfect_club_like
 
@@ -153,25 +150,6 @@ def chain_claims(
     ]
 
 
-def point_chain(
-    loop: Loop,
-    machine: MachineConfig,
-    victim_policy: str = "longest",
-    pressure_strategy: str = "spill",
-    ii_escalation: str = "increment",
-) -> LoopChain | None:
-    """The chain that evaluates ``loop``'s points, or ``None`` per point."""
-    if not supports(victim_policy, pressure_strategy):
-        return None
-    return LoopChain(
-        loop.graph,
-        machine,
-        victim_policy=victim_policy,
-        pressure_strategy=pressure_strategy,
-        ii_escalation=ii_escalation,
-    )
-
-
 def check_grid_point(
     loop: Loop,
     machine: MachineConfig,
@@ -187,27 +165,18 @@ def check_grid_point(
 ) -> StaticCheck:
     """Evaluate one point on the production evaluator and prove it.
 
-    ``chain`` lends the loop's :func:`point_chain` (built with the same
+    ``chain`` lends the loop's :class:`LoopChain` (built with the same
     knobs) so a grid shares one chain across the loop's points; without
-    it one is built here, or the point falls back to ``run_evaluation``.
+    it one is built here.
     """
     if chain is None:
-        chain = point_chain(
-            loop, machine, victim_policy, pressure_strategy, ii_escalation
-        )
-    if chain is None:
-        evaluation = run_evaluation(
-            loop,
+        chain = LoopChain(
+            loop.graph,
             machine,
-            model,
-            register_budget,
-            swap_estimator=swap_estimator,
-            max_rounds=max_rounds,
             victim_policy=victim_policy,
             pressure_strategy=pressure_strategy,
             ii_escalation=ii_escalation,
         )
-        return check_evaluation(evaluation, reproducer=reproducer)
     summary, evaluation = chain.materialize(
         loop, model, register_budget, swap_estimator, max_rounds
     )
@@ -244,7 +213,7 @@ def run_static_validation(
     total = len(suite) * len(grid)
     points: list[StaticCheck] = []
     for index, loop in enumerate(suite):
-        chain = point_chain(loop, machine)
+        chain = LoopChain(loop.graph, machine)
         for model, budget in grid:
             reproducer = {
                 "loop": {
@@ -290,6 +259,5 @@ __all__ = [
     "StaticValidation",
     "chain_claims",
     "check_grid_point",
-    "point_chain",
     "run_static_validation",
 ]

@@ -119,10 +119,8 @@ def required_registers(
     but callers must not apply a budget to it.
 
     ``lts`` (a precomputed ``lifetimes(schedule)``) and ``assignment`` (a
-    precomputed ``scheduler_assignment(schedule)``) let the pass pipeline
-    share analysis across models.  The pipeline's memoizing
-    ``ArtifactStore.requirement`` dispatches to the same per-model helpers
-    above, so the two paths cannot drift.
+    precomputed ``scheduler_assignment(schedule)``) let a caller share
+    analysis across models.
     """
     if model in (Model.IDEAL, Model.UNIFIED):
         return unified_requirement(schedule, model, lts=lts)

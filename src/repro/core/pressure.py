@@ -7,10 +7,10 @@ available", Section 5.3).  :func:`pressure_report` produces exactly that
 triple (Unified / Partitioned / Swapped) for one loop on one machine.
 
 The measurement is the root state of a
-:class:`~repro.kernel.batch.LoopChain` (the production evaluator; the pass
-pipeline's :func:`repro.pipeline.pipelines.run_pressure` is the reference
-it is tested against): this module only defines the report shape and
-keeps the historical entry point.
+:class:`~repro.kernel.batch.LoopChain` (the production evaluator; the dict
+reference :func:`repro.pipeline.pipelines.run_pressure` is what it is
+tested against): this module only defines the report shape and keeps the
+historical entry point.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ def pressure_report(
     swap_estimator: SwapEstimator = SwapEstimator.MAXLIVE,
 ) -> PressureReport:
     """Schedule ``loop`` once and measure all models' register needs."""
-    # Imported here: the chain imports the pipeline package, which imports
-    # this module for the report dataclass, so the dependency must stay
-    # one-way at import time.
+    # Imported here: the chain imports ``repro.core`` modules, and this
+    # package's ``__init__`` imports this module, so the dependency must
+    # stay one-way at import time.
     from repro.kernel.batch import LoopChain
 
     chain = LoopChain(loop.graph, machine)

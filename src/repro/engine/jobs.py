@@ -10,7 +10,7 @@ cache (:mod:`repro.engine.cache`) and the worker pool
 (:mod:`repro.engine.pool`) operate on.
 
 Content fingerprints come from :mod:`repro.pipeline.fingerprint` (the same
-hashes key the pipeline's artifact store).  ``ENGINE_SCHEMA_VERSION`` salts
+hashes key the dict reference's memo).  ``ENGINE_SCHEMA_VERSION`` salts
 every key; bump it whenever a change to the pipeline can alter results, and
 stale cache entries die naturally.  Every pipeline knob that can change a
 number -- victim policy, pressure strategy, II escalation, swap estimator --
@@ -42,12 +42,11 @@ from repro.pipeline.fingerprint import (
     loop_fingerprint,
     machine_fingerprint,
 )
-from repro.pipeline.pipelines import (
+from repro.pipeline.policies import (
     PRESSURE_STRATEGIES,
-    run_evaluation,
-    run_pressure,
+    get_escalation,
+    get_policy,
 )
-from repro.pipeline.policies import get_escalation, get_policy
 
 #: Bump when evaluation semantics change; invalidates every cached result.
 #: 2: evaluation runs through the pass pipeline; keys carry the policy knobs.
@@ -125,7 +124,7 @@ def source_fingerprint() -> str:
 class EvalJob:
     """One point of an experiment grid, ready to execute anywhere.
 
-    ``kind`` selects the pipeline: ``"pressure"`` is the unlimited-register
+    ``kind`` selects the measurement: ``"pressure"`` is the unlimited-register
     measurement of Figures 6/7 and Table 1; ``"evaluate"`` is the full
     schedule/allocate/spill pipeline of Figures 8/9.  The loop and machine
     ride along as objects (they are cheap to pickle) but the cache key is
@@ -283,7 +282,16 @@ JobResult = PressureResult | EvalResult
 
 
 def execute_job(job: EvalJob) -> JobResult:
-    """Assemble the job's pipeline, run it, and summarize the outcome."""
+    """The job's result on the dict reference, point by point.
+
+    Production never calls this: every job walks a chain
+    (:func:`execute_batch`).  It is the tests' adapter from a job to
+    :func:`repro.pipeline.pipelines.run_evaluation` /
+    :func:`~repro.pipeline.pipelines.run_pressure`, so the reference is
+    imported here, off the engine's import graph.
+    """
+    from repro.pipeline.pipelines import run_evaluation, run_pressure
+
     if job.kind == PRESSURE:
         report = run_pressure(
             job.loop,
@@ -333,9 +341,9 @@ BatchKey = tuple[str, str, str, str, str]
 def batch_key(job: EvalJob) -> BatchKey:
     """Grouping key of the batch planner: jobs sharing it share a chain.
 
-    These are the same content fingerprints that key the pipeline's
-    ``ArtifactStore`` and the job cache (memoized per object, so a grid
-    derives each loop's hash once, not once per point).  Model, budget,
+    These are the same content fingerprints that key the job cache
+    (memoized per object, so a grid derives each loop's hash once, not
+    once per point).  Model, budget,
     estimator and trip count are deliberately absent: they vary *within*
     a chain's walks.  Structurally identical loops with different names
     share one chain; :func:`repro.engine.pool.run_jobs` relabels results.
@@ -377,10 +385,8 @@ def execute_batch(jobs: Sequence[EvalJob]) -> list[JobResult]:
 
     The schedule-stage artifacts (MII, modulo schedule, lifetimes, live
     profiles) are computed once per chain *state* and shared by every
-    (model, budget) walk -- see :mod:`repro.kernel.batch`.  Groups whose
-    victim policy has no array implementation (custom registered policies
-    interrogate ``Schedule`` dataclasses) fall back to per-job execution
-    on the pass pipeline, bit-identical by construction.
+    (model, budget) walk -- see :mod:`repro.kernel.batch`.  Every victim
+    policy is a key the chain calls, so every group walks one.
 
     Inside :func:`lent_chains`, the group walks the lent memo's chain for
     its :func:`batch_key` if there is one, so a loop's later groups reuse
@@ -390,8 +396,6 @@ def execute_batch(jobs: Sequence[EvalJob]) -> list[JobResult]:
     walk finished, so a walk that raises evicts it.
     """
     first = jobs[0]
-    if not kbatch.supports(first.victim_policy, first.pressure_strategy):
-        return [execute_job(job) for job in jobs]
     chain = None
     chains = _lent_chains.get()
     if chains is not None:

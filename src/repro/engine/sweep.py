@@ -41,8 +41,8 @@ from repro.engine.jobs import (
 )
 from repro.engine.pool import Engine, ProgressFn
 from repro.machine.config import MachineConfig, clustered_config, paper_config
-from repro.pipeline.pipelines import PRESSURE_STRATEGIES
 from repro.pipeline.policies import (
+    PRESSURE_STRATEGIES,
     SPILL_POLICIES,
     get_escalation,
     get_policy,
@@ -424,9 +424,9 @@ NAMED_SWEEPS: dict[str, SweepSpec] = {
         latencies=(3, 6),
         cluster_counts=(1, 2, 4),
     ),
-    # Spill-victim policy ablation through the pass pipeline: the paper's
-    # highest-lifetime heuristic against every registered alternative at
-    # the highest-pressure configuration (L6/R32).
+    # Spill-victim policy ablation: the paper's highest-lifetime
+    # heuristic against every registered alternative at the
+    # highest-pressure configuration (L6/R32).
     "spill-policy": SweepSpec(
         name="spill-policy",
         kind=EVALUATE,

@@ -32,10 +32,10 @@ dataclasses (``Schedule``, ``UnifiedAllocation``, ``DualAllocation``,
 ``SwapResult``) the public modules build.
 
 The public modules (:mod:`repro.sched.modulo`, :mod:`repro.regalloc`,
-:mod:`repro.core`, and the pass pipeline over them) are the dict
-reference: the readable, paper-faithful specification the chain is tested
-against, and the fallback for custom victim policies that have no array
-implementation.  Nothing selects between the two at run time.
+:mod:`repro.core`, and :func:`repro.pipeline.pipelines.run_evaluation`'s
+loop over them) are the dict reference: the readable, paper-faithful
+specification the chain is tested against.  Nothing selects between the
+two at run time.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Grid-batched evaluation: one spill chain per loop serves a whole sweep.
 
 The paper's experiments are grids -- every figure sweeps loops x register
-budgets x file models -- yet the per-point pipeline re-derives the shared
-schedule-stage work for each point.  The key structural fact this module
-exploits: for a fixed (dependence graph, machine, victim policy, pressure
+budgets x file models -- yet evaluating point by point re-derives the
+shared schedule-stage work for each point.  The key structural fact this
+module exploits: for a fixed (dependence graph, machine, victim policy, pressure
 strategy, II escalation), the *state sequence* of the Section 5.4 loop is
 identical for every (model, budget) point.  Each round either spills the
 policy's victim (a model-independent choice) or reschedules at the escalated
@@ -34,8 +34,9 @@ the worst subfile's MaxLive after the search, before it pays for the dual
 allocation.
 
 Every number produced here is pinned bit-identical to the dict reference
-(the pass pipeline over :mod:`repro.sched`, :mod:`repro.regalloc` and
-:mod:`repro.core`) by the differential suite
+(:func:`repro.pipeline.pipelines.run_evaluation`, the Section 5.4 loop
+over :mod:`repro.sched`, :mod:`repro.regalloc` and :mod:`repro.core`) by
+the differential suite
 (``tests/properties/test_kernel_differential.py``,
 ``tests/properties/test_chain_materialize.py``, ``tests/engine/test_batch.py``);
 the chain is the same state machine, traversed once instead of per point.
@@ -51,9 +52,9 @@ memberships and, for Swapped, the swap search's trace -- lifted to the
 public dataclasses (:meth:`_Node.lift`), never recomputed.  Grid, serve and
 ``repro run`` never pay for the lift.
 
-This module deliberately knows nothing about engine jobs: grouping (by the
-same content fingerprints that key the pipeline ``ArtifactStore``) and the
-result dataclasses live in :mod:`repro.engine.jobs`.
+This module deliberately knows nothing about engine jobs: grouping (by
+content fingerprints) and the result dataclasses live in
+:mod:`repro.engine.jobs`.
 """
 
 from __future__ import annotations
@@ -75,36 +76,18 @@ from repro.kernel.lifetimes import lifetime_bounds, live_profile_spans
 from repro.kernel.loop import LoopArrays, lower_loop
 from repro.kernel.swap import greedy_swap_search
 from repro.machine.config import MachineConfig
-from repro.pipeline.policies import get_escalation, get_policy
+from repro.pipeline.policies import (
+    PRESSURE_STRATEGIES,
+    VictimKey,
+    get_escalation,
+    get_policy,
+)
 from repro.regalloc.allocation import UnifiedAllocation
 from repro.regalloc.firstfit import AllocationResult, PlacedLifetime
 from repro.regalloc.lifetimes import Lifetime
 from repro.sched.modulo import SchedulingFailure
 from repro.sched.schedule import Placement, Schedule
 from repro.spill.spiller import LoopEvaluation, spill_value
-
-#: Victim policies with an array-native implementation below.  Custom
-#: registered policies are arbitrary Python objects interrogating Schedule
-#: dataclasses, so groups naming one fall back to per-job execution.
-ARRAY_POLICIES = frozenset(
-    ("longest", "most_registers", "first", "most_consumers", "least_traffic")
-)
-
-
-def supports(victim_policy: str, pressure_strategy: str) -> bool:
-    """Whether points with these knobs are evaluated on a :class:`LoopChain`.
-
-    The one routing rule of every caller that can either walk a chain or
-    run the pass pipeline (the engine's job groups, ``evaluate_loop``,
-    ``pressure_report``, the static proof).  Escalations are not
-    restricted: the strategy object is called directly, so custom
-    registered escalations batch fine.  ``increase_ii`` never selects a
-    victim, so any policy name batches under it.
-    """
-    if pressure_strategy == "increase_ii":
-        return True
-    return pressure_strategy == "spill" and victim_policy in ARRAY_POLICIES
-
 
 # ----------------------------------------------------------------------
 # Array MII (same bounds as repro.sched.mii, on the lowered arrays)
@@ -324,7 +307,7 @@ class _Context(NamedTuple):
     graph: DependenceGraph
     machine: MachineConfig
     name: str
-    policy: str
+    key: VictimKey
 
 
 class _Node:
@@ -746,65 +729,35 @@ class _Node:
         return self._victim
 
     def _select_victim(self) -> int | None:
+        """The spillable slot with the largest policy key, ties to the first.
+
+        Spillable: a value of the loop (not a spill op) with a consumer
+        other than a spill store.  Slot order is op-id order, and a graph
+        numbers its ops densely from 0 (a spill appends the next ids), so
+        an op index *is* its op id: the key reads the same ``consumers``
+        pairs and ``op_id`` as :func:`repro.pipeline.policies.pick_victim`
+        does on the node's graph.
+        """
         la = self.la
         is_spill = self.is_spill
         is_spill_store = self.is_spill_store
         cons = la.cons
-        values = la.values
-        candidates = []
-        for k, v in enumerate(values):
+        starts, ends = self.bounds
+        ii = self.ii
+        key = self.ctx.key
+        victim = None
+        best = None
+        for k, v in enumerate(la.values):
             if is_spill[v]:
                 continue
             uses = cons[v]
-            if not uses:
+            if not uses or all(is_spill_store[c] for c, _dist in uses):
                 continue
-            # Skip values already spilled (only consumer: a spill store).
-            if all(is_spill_store[c] for c, _dist in uses):
-                continue
-            candidates.append(k)
-        if not candidates:
-            return None
-        policy = self.ctx.policy
-        if policy == "first":
-            return candidates[0]  # slots ascend with op id
-        starts, ends = self.bounds
-        ii = self.ii
-        # Indices ascend with op ids, so every id tie break holds on slots.
-        if policy == "longest":
-            return max(
-                candidates,
-                key=lambda k: (ends[k] - starts[k], -values[k]),
-            )
-        if policy == "most_registers":
-            return max(
-                candidates,
-                key=lambda k: (
-                    -(-(ends[k] - starts[k]) // ii),
-                    -values[k],
-                ),
-            )
-        if policy == "most_consumers":
-            return max(
-                candidates,
-                key=lambda k: (
-                    len(cons[values[k]]),
-                    ends[k] - starts[k],
-                    -values[k],
-                ),
-            )
-        if policy == "least_traffic":
-            return min(
-                candidates,
-                key=lambda k: (
-                    1 + len(set(cons[values[k]])),
-                    # negated register cost: -ceil(length/II)
-                    (starts[k] - ends[k]) // ii,
-                    values[k],
-                ),
-            )
-        raise ValueError(
-            f"victim policy {policy!r} has no array implementation"
-        )
+            rank = key(ends[k] - starts[k], ii, uses, v)
+            if victim is None or rank > best:
+                victim = k
+                best = rank
+        return victim
 
     def spill_child(self) -> "_Node":
         """The state after spilling this node's victim (shared by walks)."""
@@ -910,12 +863,11 @@ class LoopChain:
         pressure_strategy: str = "spill",
         ii_escalation: str = "increment",
     ) -> None:
-        if not supports(victim_policy, pressure_strategy):
+        if pressure_strategy not in PRESSURE_STRATEGIES:
             raise ValueError(
-                f"victim policy {victim_policy!r} has no array "
-                f"implementation; execute such jobs per point"
+                f"unknown pressure strategy {pressure_strategy!r}"
             )
-        get_policy(victim_policy)  # unknown names fail as in the pipeline
+        key = get_policy(victim_policy).key
         self.graph = graph
         self.name = graph.name
         self.machine = machine
@@ -925,7 +877,7 @@ class LoopChain:
         memory = graph.memory_operations()
         ops = graph.operations
         self.root = _Node(
-            _Context(graph, machine, graph.name, victim_policy),
+            _Context(graph, machine, graph.name, key),
             1,
             len(memory),
             sum(1 for op in memory if op.is_spill),
@@ -973,8 +925,8 @@ class LoopChain:
 
         Returns the walk's summary (the numbers the engine serves) together
         with the full :class:`LoopEvaluation` of the node the walk exits on:
-        the last *measured* state, exactly ``run_evaluation``'s
-        ``last_schedule`` even when the round cap expires after a spill.
+        the last *measured* state, as ``run_evaluation`` reports it, even
+        when the round cap expires after a spill.
         The evaluation carries the chain's own claims (MII, spills, II
         increases, fit verdict) next to the materialized schedule and
         allocation; the requirement is the allocation's, never the walk's
@@ -1087,10 +1039,8 @@ class LoopChain:
 
 
 __all__ = [
-    "ARRAY_POLICIES",
     "BatchEvaluation",
     "BatchPressure",
     "LoopChain",
     "array_mii",
-    "supports",
 ]

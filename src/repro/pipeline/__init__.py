@@ -1,98 +1,13 @@
-"""Composable, policy-pluggable per-loop compilation pipelines.
+"""The Section 5.4 loop's strategies, its dict reference and content keys.
 
-The paper evaluates one flow per loop -- modulo schedule, register
-allocation under a register-file model, greedy swapping, spilling until the
-budget fits.  This package expresses that flow once as composable passes
-over a :class:`PassContext`, with every derived artifact (MII, schedule,
-lifetimes, allocations, swap result) memoized by content in an
-:class:`ArtifactStore` so nothing is computed twice across models, rounds,
-or experiments.
+* :mod:`repro.pipeline.fingerprint` -- content hashes of graphs, loops and
+  machines (engine job keys, the reference's memo);
+* :mod:`repro.pipeline.policies` -- the victim-policy, II-escalation and
+  pressure-strategy registries that back the CLI, sweep and engine knobs;
+* :mod:`repro.pipeline.pipelines` -- :func:`run_evaluation` and
+  :func:`run_pressure`, the paper's loop written straight over the dict
+  modules: the reference the production chain is tested against.
 
-* :mod:`repro.pipeline.fingerprint` -- content hashes of graphs/loops/machines;
-* :mod:`repro.pipeline.context` -- :class:`PassContext` + :class:`ArtifactStore`;
-* :mod:`repro.pipeline.passes` -- the concrete passes;
-* :mod:`repro.pipeline.policies` -- pluggable :class:`SpillPolicy` and
-  :class:`IIEscalation` strategies (registries back the CLI knobs);
-* :mod:`repro.pipeline.pipelines` -- composition + the two canonical flows.
-
-``repro.core.pressure``, ``repro.spill.spiller`` and ``repro.engine.jobs``
-are thin wrappers over :func:`run_pressure` / :func:`run_evaluation`.
+Importing this package loads none of them, so production code that needs
+only the registries never loads the reference.
 """
-
-from repro.pipeline.context import (
-    ArtifactStats,
-    ArtifactStore,
-    PassContext,
-    default_store,
-)
-from repro.pipeline.fingerprint import (
-    graph_fingerprint,
-    loop_fingerprint,
-    machine_fingerprint,
-)
-from repro.pipeline.passes import (
-    AllocateDual,
-    AllocateUnified,
-    ClusterAssign,
-    ComputeMII,
-    GreedySwap,
-    ModuloSchedule,
-    Pass,
-    SpillLoop,
-    SpillRound,
-)
-from repro.pipeline.pipelines import (
-    PRESSURE_STRATEGIES,
-    Pipeline,
-    evaluation_pipeline,
-    pressure_pipeline,
-    run_evaluation,
-    run_pressure,
-)
-from repro.pipeline.policies import (
-    II_ESCALATIONS,
-    IIEscalation,
-    SPILL_POLICIES,
-    SpillPolicy,
-    get_escalation,
-    get_policy,
-    pick_victim,
-    register_escalation,
-    register_policy,
-    spillable_values,
-)
-
-__all__ = [
-    "AllocateDual",
-    "AllocateUnified",
-    "ArtifactStats",
-    "ArtifactStore",
-    "ClusterAssign",
-    "ComputeMII",
-    "GreedySwap",
-    "II_ESCALATIONS",
-    "IIEscalation",
-    "ModuloSchedule",
-    "PRESSURE_STRATEGIES",
-    "Pass",
-    "PassContext",
-    "Pipeline",
-    "SPILL_POLICIES",
-    "SpillLoop",
-    "SpillPolicy",
-    "SpillRound",
-    "default_store",
-    "evaluation_pipeline",
-    "get_escalation",
-    "get_policy",
-    "graph_fingerprint",
-    "loop_fingerprint",
-    "machine_fingerprint",
-    "pick_victim",
-    "pressure_pipeline",
-    "register_escalation",
-    "register_policy",
-    "run_evaluation",
-    "run_pressure",
-    "spillable_values",
-]

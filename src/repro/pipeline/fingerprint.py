@@ -4,9 +4,9 @@ These hashes identify *what* is being compiled, independently of object
 identity, display names, or which process computed them.  Two layers build
 on them:
 
-* the pass pipeline's :class:`~repro.pipeline.context.ArtifactStore` keys
-  memoized schedules/lifetimes/allocations by content, so structurally
-  identical inputs share derived artifacts;
+* the dict reference (:mod:`repro.pipeline.pipelines`) keys its memoized
+  MIIs and schedules by content, so structurally identical inputs share
+  them;
 * the engine (:mod:`repro.engine.jobs`) folds them into job cache keys.
 
 Hashes are SHA-256 over a canonical JSON payload, so they are stable across
@@ -16,7 +16,7 @@ maps: drivers reuse the same :class:`~repro.ir.loop.Loop` and
 :class:`~repro.machine.config.MachineConfig` instances across hundreds of
 evaluations, and re-serializing the graph each time would dominate warm
 paths.  Content is hashed at first sight -- don't mutate a graph after
-handing it to the pipeline or the engine.
+handing it to the reference or the engine.
 """
 
 from __future__ import annotations

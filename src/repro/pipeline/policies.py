@@ -1,36 +1,73 @@
-"""Pluggable spill-victim selection and II-escalation strategies.
+"""Spill-victim policies, II escalations and the Section 5.4 strategies.
 
-The paper's Section 5.4 loop has two decision points the pipeline exposes as
-strategy objects:
+The paper's Section 5.4 loop has two decision points, each a registry of
+named strategies:
 
 * :class:`SpillPolicy` -- *which* value to spill when the register
   requirement exceeds the budget.  The paper's naive policy picks "the value
   with the highest lifetime, which in general will free a higher number of
   registers" and remarks that "more research is required to develop better
   algorithms to spill registers"; the alternatives here are that research
-  hook.  All policies are deterministic (ties resolve by op id).
+  hook.
 * :class:`IIEscalation` -- *what II to try next* when nothing can be
   spilled and the loop must be rescheduled ("reschedule the loop with an
   increased II"), plus when to give up on escalation altogether.
 
-Policies are stateless singletons registered in :data:`SPILL_POLICIES` /
-:data:`II_ESCALATIONS`; the registries back the ``--policy`` /
-``--escalation`` knobs of ``python -m repro sweep`` and the engine job
-fingerprints, so every name is a stable part of the cache key space.
+The registries back the ``--policy`` / ``--escalation`` knobs of ``python
+-m repro sweep`` and the engine job fingerprints, so every name is a stable
+part of the cache key space.
 
-To add a policy: subclass nothing -- implement ``name`` and ``select`` (see
-:class:`HighestLifetime` for the shape), then ``register_policy(MyPolicy())``.
+A victim policy is one key over plain per-value facts::
+
+    key(length, ii, consumers, op_id) -> comparable
+
+``length`` is the value's lifetime in cycles, ``ii`` the schedule's
+initiation interval, ``consumers`` the value's uses as ``(consumer op id,
+distance)`` pairs (one per operand read, in operand order) and ``op_id``
+the producer's id.  Among the spillable values (:func:`spillable_values`)
+the one with the largest key is spilled; candidates are visited in op-id
+order and only a strictly larger key displaces the best so far, so ties go
+to the lowest op id.  The production chain
+(:meth:`repro.kernel.batch._Node.victim`) and the dict reference
+(:func:`pick_victim`) call the same key, so a registered policy runs on
+both.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Protocol,
+    Sequence,
+    runtime_checkable,
+)
 
 from repro.ir.ddg import DependenceGraph
 from repro.ir.operation import OpType
 from repro.kernel import consumer_map
-from repro.regalloc.lifetimes import Lifetime, lifetimes
-from repro.sched.schedule import Schedule
+
+if TYPE_CHECKING:
+    from repro.regalloc.lifetimes import Lifetime
+    from repro.sched.schedule import Schedule
+
+#: The Section 5.4 alternatives: spill (the paper's choice) or only
+#: reschedule at increasing IIs ("this option would produce an extremely
+#: inefficient code"; the A3 ablation quantifies it).
+PRESSURE_STRATEGIES = ("spill", "increase_ii")
+
+#: ``key(length, ii, consumers, op_id)``; see the module docstring.
+VictimKey = Callable[[int, int, Sequence[tuple[int, int]], int], Any]
+
+
+@dataclass(frozen=True)
+class SpillPolicy:
+    """A named victim key: the spillable value with the largest key goes."""
+
+    name: str
+    key: VictimKey
 
 
 def spillable_values(
@@ -62,134 +99,54 @@ def spillable_values(
     return result
 
 
-def _register_cost(lt: Lifetime, ii: int) -> int:
-    """Registers a lifetime occupies: ``ceil(length / II)`` instances."""
-    return -(-lt.length // ii)
+def longest(length: int, ii: int, consumers: Sequence, op_id: int) -> int:
+    """The paper's naive policy: the highest lifetime."""
+    return length
 
 
-@runtime_checkable
-class SpillPolicy(Protocol):
-    """Victim selection: pick the next value to spill, or ``None``."""
-
-    name: str
-
-    def select(
-        self, schedule: Schedule, lts: dict[int, Lifetime]
-    ) -> int | None:
-        """Op id of the value to spill under this policy, or ``None``."""
-
-
-class HighestLifetime:
-    """The paper's naive policy: highest lifetime (ties: lowest id)."""
-
-    name = "longest"
-
-    def select(
-        self, schedule: Schedule, lts: dict[int, Lifetime]
-    ) -> int | None:
-        candidates = spillable_values(schedule.graph)
-        if not candidates:
-            return None
-        return max(candidates, key=lambda i: (lts[i].length, -i))
-
-
-class MostRegisters:
+def most_registers(
+    length: int, ii: int, consumers: Sequence, op_id: int
+) -> int:
     """Most simultaneously-live instances: what the lifetime actually
-    costs in registers, ``ceil(lifetime / II)``."""
-
-    name = "most_registers"
-
-    def select(
-        self, schedule: Schedule, lts: dict[int, Lifetime]
-    ) -> int | None:
-        candidates = spillable_values(schedule.graph)
-        if not candidates:
-            return None
-        ii = schedule.ii
-        return max(
-            candidates, key=lambda i: (_register_cost(lts[i], ii), -i)
-        )
+    costs in registers, ``ceil(length / II)``."""
+    return -(-length // ii)
 
 
-class FirstValue:
+def first(length: int, ii: int, consumers: Sequence, op_id: int) -> int:
     """Lowest op id: a deliberately bad baseline for the ablation."""
-
-    name = "first"
-
-    def select(
-        self, schedule: Schedule, lts: dict[int, Lifetime]
-    ) -> int | None:
-        candidates = spillable_values(schedule.graph)
-        if not candidates:
-            return None
-        return min(candidates)
+    return -op_id
 
 
-class MostConsumers:
+def most_consumers(
+    length: int, ii: int, consumers: Sequence, op_id: int
+) -> tuple[int, int]:
     """Widest fan-out: the value read at the most consumer endpoints.
 
     Spilling it collapses one long, many-reader lifetime into a short
     producer-to-store interval plus one tiny reload lifetime per consumer --
-    the biggest structural change per spill (ties: longest lifetime, then
-    lowest id).
+    the biggest structural change per spill (ties: longest lifetime).
     """
-
-    name = "most_consumers"
-
-    def select(
-        self, schedule: Schedule, lts: dict[int, Lifetime]
-    ) -> int | None:
-        consumers = consumer_map(schedule.graph)
-        candidates = spillable_values(schedule.graph, consumers)
-        if not candidates:
-            return None
-        return max(
-            candidates,
-            key=lambda i: (len(consumers[i]), lts[i].length, -i),
-        )
+    return len(consumers), length
 
 
-class LeastTraffic:
+def least_traffic(
+    length: int, ii: int, consumers: Sequence, op_id: int
+) -> tuple[int, int]:
     """Cheapest memory bill: fewest added loads/stores per spilled value.
 
-    Spilling op ``v`` adds one store plus one load per distinct
+    Spilling a value adds one store plus one load per distinct
     ``(consumer, distance)`` pair; this policy minimizes that count (ties:
-    most registers freed, then lowest id), trading convergence speed for
-    bus bandwidth -- the quantity Figure 9 measures.
+    most registers freed), trading convergence speed for bus bandwidth --
+    the quantity Figure 9 measures.
     """
-
-    name = "least_traffic"
-
-    def select(
-        self, schedule: Schedule, lts: dict[int, Lifetime]
-    ) -> int | None:
-        consumers = consumer_map(schedule.graph)
-        candidates = spillable_values(schedule.graph, consumers)
-        if not candidates:
-            return None
-        ii = schedule.ii
-
-        def added_ops(i: int) -> int:
-            reloads = {(c, d) for c, d in consumers[i]}
-            return 1 + len(reloads)
-
-        return min(
-            candidates,
-            key=lambda i: (added_ops(i), -_register_cost(lts[i], ii), i),
-        )
+    return -len(set(consumers)), -(-length // ii)
 
 
 #: Registry backing the CLI/sweep/engine ``policy`` knobs.  Insertion order
 #: is the canonical ablation order (the paper's policy first).
 SPILL_POLICIES: dict[str, SpillPolicy] = {
-    policy.name: policy
-    for policy in (
-        HighestLifetime(),
-        MostRegisters(),
-        FirstValue(),
-        MostConsumers(),
-        LeastTraffic(),
-    )
+    key.__name__: SpillPolicy(key.__name__, key)
+    for key in (longest, most_registers, first, most_consumers, least_traffic)
 }
 
 
@@ -223,11 +180,23 @@ def pick_victim(
     policy: str = "longest",
     lts: dict[int, Lifetime] | None = None,
 ) -> int | None:
-    """Select the value to spill under the named policy (ties: lowest id)."""
-    selected = get_policy(policy)
+    """The op id the named policy spills from ``schedule``, or ``None``."""
+    # Imported here: this module may be the first of the package to load,
+    # and ``repro.regalloc`` imported before ``repro.sched`` trips over
+    # their import cycle.
+    from repro.regalloc.lifetimes import lifetimes
+
+    key = get_policy(policy).key
     if lts is None:
         lts = lifetimes(schedule)
-    return selected.select(schedule, lts)
+    consumers = consumer_map(schedule.graph)
+    candidates = spillable_values(schedule.graph, consumers)
+    if not candidates:
+        return None
+    ii = schedule.ii
+    return max(
+        candidates, key=lambda i: key(lts[i].length, ii, consumers[i], i)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -316,19 +285,21 @@ def get_escalation(name: str) -> IIEscalation:
 
 
 __all__ = [
-    "FirstValue",
     "GeometricEscalation",
-    "HighestLifetime",
     "IIEscalation",
     "II_ESCALATIONS",
     "IncrementEscalation",
-    "LeastTraffic",
-    "MostConsumers",
-    "MostRegisters",
+    "PRESSURE_STRATEGIES",
     "SPILL_POLICIES",
     "SpillPolicy",
+    "VictimKey",
+    "first",
     "get_escalation",
     "get_policy",
+    "least_traffic",
+    "longest",
+    "most_consumers",
+    "most_registers",
     "pick_victim",
     "register_escalation",
     "register_policy",

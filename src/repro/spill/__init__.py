@@ -10,7 +10,7 @@ delegating victim choice and II escalation to the pluggable policies of
 memory accesses into the bus-density metric.
 
 Key entry points: :func:`~repro.spill.spiller.evaluate_loop` (the full
-pipeline, returns a :class:`LoopEvaluation`),
+loop, returns a :class:`LoopEvaluation`),
 :func:`~repro.spill.spiller.spill_value`, and
 :func:`~repro.spill.traffic.aggregate_density` /
 :func:`~repro.spill.traffic.aggregate_traffic` for Figure 9.

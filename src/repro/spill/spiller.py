@@ -20,11 +20,10 @@ This module owns that graph transform (:func:`spill_value`) and the
 :class:`LoopEvaluation` report.  The iterative flow itself -- measure,
 spill, escalate the II when nothing is spillable, give up on plateaus --
 runs on a :class:`~repro.kernel.batch.LoopChain` (the production
-evaluator), with the pass pipeline
-(:func:`repro.pipeline.pipelines.run_evaluation`, victim selection and
-escalation pluggable through :mod:`repro.pipeline.policies`) as the
-readable reference and the fallback for custom victim policies;
-:func:`evaluate_loop` is the historical entry point over both.
+evaluator; :func:`evaluate_loop` is its historical one-point entry), and
+is written straight in the dict reference
+:func:`repro.pipeline.pipelines.run_evaluation`.  Victim selection and
+escalation are pluggable through :mod:`repro.pipeline.policies`.
 """
 
 from __future__ import annotations
@@ -37,43 +36,20 @@ from repro.ir.ddg import DependenceGraph, EdgeKind
 from repro.ir.loop import Loop
 from repro.ir.operation import OpType, ValueRef
 from repro.machine.config import MachineConfig
-from repro.regalloc.lifetimes import Lifetime
+from repro.pipeline.policies import (
+    SPILL_POLICIES,
+    pick_victim,
+    spillable_values,
+)
 from repro.sched.schedule import Schedule
 
 
 def __getattr__(name: str) -> object:
-    # ``VICTIM_POLICIES`` reflects the pipeline's policy registry, but the
-    # pipeline package references this module at import time (for the graph
-    # transform and the report dataclass), so the reverse edge resolves
-    # lazily on first attribute access.
+    # ``VICTIM_POLICIES`` reflects the policy registry at access time, so
+    # a policy registered after import is listed too.
     if name == "VICTIM_POLICIES":
-        from repro.pipeline.policies import SPILL_POLICIES
-
         return tuple(SPILL_POLICIES)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def spillable_values(graph: DependenceGraph) -> list[int]:
-    """Values the spiller may pick: non-spill values with consumers."""
-    from repro.pipeline.policies import spillable_values as select
-
-    return select(graph)
-
-
-def pick_victim(
-    schedule: Schedule,
-    policy: str = "longest",
-    lts: dict[int, Lifetime] | None = None,
-) -> int | None:
-    """Select the value to spill under ``policy`` (ties: lowest id).
-
-    Policies live in :data:`repro.pipeline.policies.SPILL_POLICIES`; the
-    paper's is ``"longest"`` ("the value with the highest lifetime, which
-    in general will free a higher number of registers").
-    """
-    from repro.pipeline.policies import pick_victim as select
-
-    return select(schedule, policy=policy, lts=lts)
 
 
 class SpillError(RuntimeError):
@@ -218,38 +194,23 @@ def evaluate_loop(
     rescheduling (:data:`~repro.pipeline.policies.II_ESCALATIONS`).
 
     The point walks a one-loop :class:`~repro.kernel.batch.LoopChain`
-    whenever :func:`~repro.kernel.batch.supports` holds for the knobs;
-    custom victim policies run the pass pipeline.  Both return the same
-    evaluation.
+    and returns its materialized exit node.
     """
-    # Imported here: the chain and the pipeline import this module for the
-    # report dataclass and the graph transform, so the dependency must
-    # stay one-way at import time.
-    from repro.kernel.batch import LoopChain, supports
-    from repro.pipeline.pipelines import run_evaluation
+    # Imported here: the chain imports this module for the report
+    # dataclass and the graph transform, so the dependency must stay
+    # one-way at import time.
+    from repro.kernel.batch import LoopChain
 
-    if supports(victim_policy, pressure_strategy):
-        chain = LoopChain(
-            loop.graph,
-            machine,
-            victim_policy=victim_policy,
-            pressure_strategy=pressure_strategy,
-            ii_escalation=ii_escalation,
-        )
-        return chain.materialize(
-            loop, model, register_budget, swap_estimator, max_rounds
-        )[1]
-    return run_evaluation(
-        loop,
+    chain = LoopChain(
+        loop.graph,
         machine,
-        model,
-        register_budget=register_budget,
-        swap_estimator=swap_estimator,
-        max_rounds=max_rounds,
         victim_policy=victim_policy,
         pressure_strategy=pressure_strategy,
         ii_escalation=ii_escalation,
     )
+    return chain.materialize(
+        loop, model, register_budget, swap_estimator, max_rounds
+    )[1]
 
 
 __all__ = [

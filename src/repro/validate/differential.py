@@ -25,7 +25,7 @@ behaviour against every claim:
 :func:`validate_point` additionally evaluates the point under both
 evaluator tiers -- ``batch`` (the production
 :class:`~repro.kernel.batch.LoopChain`, whose materialized evaluation is
-executed) and ``0`` (the dict reference: the pass pipeline) -- and
+executed) and ``0`` (the dict reference: the Section 5.4 loop) -- and
 requires the tiers to agree with each other *and* with execution.  The
 ``batch`` tier's summary must also equal the result the engine serves for
 the point (:func:`repro.engine.jobs.execute_batch`); its static proof
@@ -55,7 +55,7 @@ from repro.spill.spiller import LoopEvaluation
 
 #: Evaluator tiers a point is validated under, production first:
 #: ``"batch"`` (the chain, checked against the engine's served result too)
-#: and ``"0"`` (the dict reference pipeline).
+#: and ``"0"`` (the dict reference).
 TIERS = ("batch", "0")
 
 
@@ -506,13 +506,11 @@ def validate_point(
     mismatch when its summary differs from the result the engine serves
     for the point (:func:`repro.engine.jobs.execute_batch` on one
     :func:`~repro.engine.jobs.evaluate_job`).  The ``"0"`` tier executes
-    the pass pipeline's evaluation
-    (:func:`repro.pipeline.pipelines.run_evaluation`, the dict
-    reference).  Each tier executes *its own* allocation; on top of the
-    per-tier simulator checks, the tiers' analytical summaries must be
-    identical (a ``tier`` mismatch otherwise).  Knobs without an array
-    implementation evaluate both tiers on the pipeline, as the engine
-    does.  ``static=True`` (the default) additionally proves,
+    the dict reference (:func:`repro.pipeline.pipelines.run_evaluation`,
+    the Section 5.4 loop written straight).  Each tier executes *its own*
+    allocation; on top of the per-tier simulator checks, the tiers'
+    analytical summaries must be identical (a ``tier`` mismatch
+    otherwise).  ``static=True`` (the default) additionally proves,
     analytically, the schedule/allocation of the evaluator that serves the
     point (:func:`repro.check.coverage.check_grid_point`) -- the O(ops)
     static tier that runs on 100% of points where simulation samples.

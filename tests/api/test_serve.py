@@ -555,6 +555,20 @@ class TestWireConformance:
         assert (first, second) == (404, 200)
         assert json.loads(body)["result"]["status"] == "serving"
 
+    def test_get_body_is_read_before_the_answer(self, server):
+        """A GET's declared body must not start the next request."""
+        get = b"GET /v1/health HTTP/1.1\r\nHost: localhost\r\n"
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=10
+        ) as sock:
+            stream = sock.makefile("rb")
+            sock.sendall(
+                get + b"Content-Length: 2\r\n\r\n{}" + get + b"\r\n"
+            )
+            first, _headers, _body = _read_response(stream)
+            second, _headers, _body = _read_response(stream)
+        assert (first, second) == (200, 200)
+
 
 class TestBackpressure:
     def test_rate_limit_answers_429_with_retry_after(self):
@@ -825,6 +839,38 @@ class TestShutdown:
             assert body["result"]["status"] == "shutting down"
             thread.join(timeout=10)
             assert not thread.is_alive(), "serve loop still running"
+        finally:
+            instance.server_close()
+            session.close()
+
+    def test_shutdown_requester_keeping_its_socket_does_not_hold_the_exit(
+        self,
+    ):
+        session = Session()
+        instance = ReproServer(("127.0.0.1", 0), session)
+        thread = _serve_thread(instance)
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", instance.port), timeout=10
+            ) as sock:
+                stream = sock.makefile("rb")
+                sock.sendall(
+                    _post("/v1/shutdown", b"{}", b"Content-Length: 2")
+                )
+                status, headers, _body = _read_response(stream)
+                assert status == 200
+                assert headers["connection"] == "close"
+                thread.join(timeout=10)
+                assert not thread.is_alive(), "serve loop still running"
+                # The socket stays open while the server closes: the join
+                # of the handler threads must not wait for this client.
+                closing = threading.Thread(target=instance.server_close)
+                start = time.monotonic()
+                closing.start()
+                closing.join(timeout=5)
+                assert not closing.is_alive(), "server_close() waits on us"
+                assert time.monotonic() - start < 5
+                assert stream.read() == b""  # the server hung up
         finally:
             instance.server_close()
             session.close()

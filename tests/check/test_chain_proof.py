@@ -2,8 +2,7 @@
 
 :func:`repro.check.coverage.check_grid_point` proves the
 :class:`~repro.kernel.batch.LoopChain`'s materialized exit node, holds the
-chain's served summary to those artifacts, and falls back to the
-per-point pipeline under exactly the engine's routing rule.  The tests
+chain's served summary to those artifacts, for every victim policy.  The tests
 here corrupt the materialized artifacts and claims directly and require
 the proof to catch each lie with actionable coordinates.
 """
@@ -15,13 +14,14 @@ import dataclasses
 import pytest
 
 from repro.check import check_evaluation, coverage, run_static_validation
-from repro.check.coverage import chain_claims, check_grid_point, point_chain
+from repro.check.coverage import chain_claims, check_grid_point
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.kernel.batch import LoopChain
 from repro.machine.config import paper_config
+from repro.pipeline import pipelines
 from repro.pipeline.pipelines import run_evaluation
-from repro.pipeline.policies import SPILL_POLICIES, SpillPolicy, spillable_values
+from repro.pipeline.policies import SPILL_POLICIES, SpillPolicy
 from repro.regalloc.firstfit import PlacedLifetime
 from repro.sched.mii import edge_delay
 from repro.sched.schedule import Schedule
@@ -164,10 +164,10 @@ class TestRouting:
             return original(*args, **kwargs)
 
         def forbidden(*_args, **_kwargs):
-            raise AssertionError("the proof grid re-ran the pipeline")
+            raise AssertionError("the proof grid re-ran the reference")
 
         monkeypatch.setattr(coverage, "LoopChain", counting)
-        monkeypatch.setattr(coverage, "run_evaluation", forbidden)
+        monkeypatch.setattr(pipelines, "run_evaluation", forbidden)
         result = run_static_validation(n_loops=5)
         assert result.ok, result.format()
         assert len(built) == 5
@@ -184,31 +184,27 @@ class TestRouting:
         assert chain_claims(summary, reference) == []
         assert check_grid_point(loop, machine, Model.SWAPPED, 8).ok
 
-    def test_custom_victim_policy_proves_through_the_fallback(
+    def test_registered_victim_key_proves_on_the_chain(
         self, loop, machine, monkeypatch
     ):
-        class LowestId(SpillPolicy):
-            name = "test-lowest-id"
+        def short_and_early(length, ii, consumers, op_id):
+            return -op_id - length  # an order no built-in policy has
 
-            def select(self, schedule, lts):
-                candidates = spillable_values(schedule.graph)
-                return min(candidates) if candidates else None
-
-        calls = []
-        original = coverage.run_evaluation
+        built = []
+        original = coverage.LoopChain
 
         def counting(*args, **kwargs):
-            calls.append(kwargs["victim_policy"])
+            built.append(kwargs["victim_policy"])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(coverage, "run_evaluation", counting)
-        monkeypatch.setitem(SPILL_POLICIES, LowestId.name, LowestId())
-        assert point_chain(loop, machine, victim_policy=LowestId.name) is None
+        monkeypatch.setattr(coverage, "LoopChain", counting)
+        policy = SpillPolicy("test-key", short_and_early)
+        monkeypatch.setitem(SPILL_POLICIES, policy.name, policy)
         check = check_grid_point(
-            loop, machine, Model.UNIFIED, 8, victim_policy=LowestId.name
+            loop, machine, Model.UNIFIED, 8, victim_policy="test-key"
         )
         assert check.ok, check.describe()
-        assert calls == [LowestId.name]
+        assert built == ["test-key"]
 
 
 class TestValidatePointProvesTheChain:

@@ -1,12 +1,11 @@
-"""Grid-batched execution: the chain == the pipeline reference, bit for bit.
+"""Grid-batched execution: the chain == the dict reference, bit for bit.
 
 The engine moves sharing into one :class:`repro.kernel.batch.LoopChain`
 per job group, so the differential contract is stated here at the
 ``run_jobs`` boundary: the same job list must produce the same
 :class:`JobResult` objects grouped through the chain and per point through
-the pass pipeline (``execute_job``, the dict reference), over the golden
-Figure 8/9 bench grid and under every policy knob the chain claims to
-support.
+the dict reference (``execute_job``), over the golden Figure 8/9 bench
+grid and under every policy knob.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.bench import LATENCY, bench_grid
 from repro.ir.loop import Loop
 from repro.kernel import batch as kbatch
 from repro.machine.config import paper_config, pxly
-from repro.pipeline.policies import SPILL_POLICIES, SpillPolicy
 from repro.workloads.suite import perfect_club_like
 
 
@@ -59,7 +57,7 @@ def grid_jobs(loops, machine):
 
 
 def _evaluators(jobs):
-    """Grouped ``run_jobs`` and the pass pipeline per job."""
+    """Grouped ``run_jobs`` and the dict reference per job."""
     grouped = run_jobs(jobs, workers=0, cache=None)
     reference = [execute_job(job) for job in jobs]
     return grouped, reference
@@ -69,12 +67,12 @@ class TestReference:
     def test_reference_never_builds_a_chain(
         self, loops, machine, monkeypatch
     ):
-        """``execute_job`` is the pipeline: it runs with the chain gone."""
+        """``execute_job`` is the reference: it runs with the chain gone."""
         jobs = [evaluate_job(loops[0], machine, Model.UNIFIED, 32)]
         served = execute_batch(jobs)
 
         def no_chain(*_args, **_kwargs):
-            raise AssertionError("the pipeline reference built a chain")
+            raise AssertionError("the dict reference built a chain")
 
         monkeypatch.setattr(kbatch, "LoopChain", no_chain)
         assert [execute_job(jobs[0])] == served
@@ -166,52 +164,19 @@ class TestDispatch:
         assert first == second
         assert cache.stats.hits >= lookups_before  # second pass: all hits
 
-    def test_custom_policy_falls_back_per_job(self, loops, machine):
-        class LowestId(SpillPolicy):
-            name = "test-lowest-id"
 
-            def select(self, schedule, lts):
-                from repro.pipeline.policies import spillable_values
-
-                candidates = spillable_values(schedule.graph)
-                return min(candidates) if candidates else None
-
-        assert not kbatch.supports("test-lowest-id", "spill")
-        SPILL_POLICIES[LowestId.name] = LowestId()
-        try:
-            jobs = [
-                evaluate_job(
-                    loop,
-                    machine,
-                    Model.UNIFIED,
-                    24,
-                    victim_policy="test-lowest-id",
-                )
-                for loop in loops[:3]
-            ]
-            grouped, reference = _evaluators(jobs)
-            assert grouped == reference
-        finally:
-            del SPILL_POLICIES[LowestId.name]
-
-
-class TestChainSupports:
-    def test_array_policies_supported(self):
-        for policy in kbatch.ARRAY_POLICIES:
-            assert kbatch.supports(policy, "spill")
-
-    def test_increase_ii_supports_any_policy(self):
-        assert kbatch.supports("anything", "increase_ii")
-
-    def test_unsupported_policy_rejected_by_chain(self, loops, machine):
-        with pytest.raises(ValueError, match="no array"):
+class TestChainKnobs:
+    def test_unknown_pressure_strategy_rejected_by_chain(
+        self, loops, machine
+    ):
+        with pytest.raises(ValueError, match="unknown pressure strategy"):
             kbatch.LoopChain(
-                loops[0].graph, machine, victim_policy="custom-policy"
+                loops[0].graph, machine, pressure_strategy="hope"
             )
 
     def test_unknown_policy_rejected_like_the_pipeline(self, loops, machine):
-        """``increase_ii`` batches any policy name, but an unregistered one
-        still fails eagerly, as ``evaluation_pipeline`` does."""
+        """``increase_ii`` never selects a victim, but an unregistered
+        policy name still fails eagerly, as ``run_evaluation`` does."""
         with pytest.raises(ValueError, match="unknown victim policy"):
             kbatch.LoopChain(
                 loops[0].graph,

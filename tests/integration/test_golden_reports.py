@@ -1,10 +1,11 @@
-"""The pass-pipeline refactor must not move a single number.
+"""No refactor may move a single number.
 
-``tests/golden/default_suite.json`` was captured from the pre-pipeline
-monolithic implementation (see ``tests/golden/generate.py``).  Recomputing
-every row through today's code -- which routes ``pressure_report`` and
-``evaluate_loop`` through :mod:`repro.pipeline` -- must reproduce the
-snapshot exactly: same schedules, same allocations, same spill decisions.
+``tests/golden/default_suite.json`` was captured from the original
+monolithic implementation (see ``tests/golden/generate.py``).
+Recomputing every row through today's code -- where ``pressure_report``
+and ``evaluate_loop`` walk a :class:`~repro.kernel.batch.LoopChain` --
+must reproduce the snapshot exactly: same schedules, same allocations,
+same spill decisions.
 """
 
 import json

@@ -2,7 +2,8 @@
 
 ``repro/__init__`` resolves its public names lazily (PEP 562), so the proof,
 the kernel, the engine and the bench harness import without the HTTP
-front-end, the report, the experiment drivers or :mod:`multiprocessing`.
+front-end, the report, the experiment drivers, the dict reference or
+:mod:`multiprocessing`.
 The server imports no :mod:`multiprocessing` either: it is one process.
 The facade itself still exports every name of ``__all__``.
 """
@@ -23,11 +24,13 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
-#: Modules a plain proof, grid or bench import must not load.
+#: Modules a plain proof, grid or bench import must not load.  The dict
+#: reference (``repro.pipeline.pipelines``) is for tests and ``validate``.
 HEAVY = (
     "repro.api",
     "repro.report",
     "repro.experiments",
+    "repro.pipeline.pipelines",
     "http.server",
     "multiprocessing",
 )

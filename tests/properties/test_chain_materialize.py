@@ -1,4 +1,4 @@
-"""Chain materialization == the per-point pipeline, artifact for artifact.
+"""Chain materialization == the dict reference, artifact for artifact.
 
 The static proof reads the schedule and allocation that
 :meth:`repro.kernel.batch.LoopChain.materialize` lifts out of the node a
@@ -6,7 +6,7 @@ walk exits on.  These properties pin that evaluation to
 :func:`repro.pipeline.pipelines.run_evaluation`'s: the same final graph
 (op ids), the same placements before and after swapping, the same
 register shifts and counts, and the same summary numbers -- over the
-kernel library, the bench grid, every array victim policy, both pressure
+kernel library, the bench grid, every victim policy, both pressure
 strategies, hypothesis high-pressure graphs, and round caps that expire
 mid-walk.  One chain serves all of a loop's points, as in production.
 """
@@ -21,9 +21,10 @@ from repro.bench import LATENCY, bench_grid
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.ir.loop import Loop
-from repro.kernel.batch import ARRAY_POLICIES, LoopChain
+from repro.kernel.batch import LoopChain
 from repro.machine.config import paper_config
 from repro.pipeline.pipelines import run_evaluation
+from repro.pipeline.policies import SPILL_POLICIES
 from repro.workloads.kernels import all_kernels
 from repro.workloads.suite import perfect_club_like
 
@@ -120,7 +121,7 @@ class TestBenchGrid:
 
 
 class TestKnobs:
-    @pytest.mark.parametrize("policy", sorted(ARRAY_POLICIES))
+    @pytest.mark.parametrize("policy", sorted(SPILL_POLICIES))
     @pytest.mark.parametrize("strategy", ("spill", "increase_ii"))
     def test_policies_and_strategies(self, policy, strategy, machine):
         for loop in perfect_club_like(4):
@@ -139,7 +140,7 @@ class TestRoundCap:
     ):
         """With one round the walk spills once and stops: the evaluation
         is the *root's* schedule (the last one measured), yet it reports
-        the spill -- ``run_evaluation``'s ``last_schedule`` semantics."""
+        the spill, as ``run_evaluation`` does."""
         loop = max(all_kernels(), key=lambda k: len(k.graph))
         chain = LoopChain(loop.graph, machine)
         summary, evaluation = chain.materialize(
@@ -164,7 +165,7 @@ class TestHighPressureGraphs:
     @given(
         high_pressure_graphs(),
         machines(),
-        st.sampled_from(sorted(ARRAY_POLICIES)),
+        st.sampled_from(sorted(SPILL_POLICIES)),
         st.integers(1, 6),
     )
     @settings(max_examples=25, deadline=None)

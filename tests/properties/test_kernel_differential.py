@@ -2,8 +2,8 @@
 
 The production evaluator is :class:`repro.kernel.batch.LoopChain`; the
 public modules (:mod:`repro.sched.modulo`, :mod:`repro.regalloc`,
-:mod:`repro.core`, the pass pipeline over them) are the readable dict
-reference.  These tests drive both over seeded synthetic loops (the
+:mod:`repro.core`, and ``run_evaluation``'s loop over them) are the
+readable dict reference.  These tests drive both over seeded synthetic loops (the
 calibrated workload) and hypothesis-generated graphs (the degenerate
 corners) and require bit-identical outcomes: the same schedule, the same
 lifetimes, the same allocations under every model (compared as whole
@@ -28,7 +28,7 @@ from repro.kernel.batch import LoopChain
 from repro.kernel.lifetimes import live_profile_spans
 from repro.kernel.swap import greedy_swap_search
 from repro.machine.config import clustered_config, example_config, paper_config
-from repro.pipeline import ArtifactStore, run_evaluation, run_pressure
+from repro.pipeline.pipelines import run_evaluation, run_pressure
 from repro.regalloc.lifetimes import lifetimes
 from repro.regalloc.maxlive import live_profile
 from repro.sched.modulo import modulo_schedule
@@ -159,14 +159,11 @@ class TestSyntheticLoops:
         if index not in SLOW_SWAPPED_ORACLE:
             models.append(Model.SWAPPED)
         chain = LoopChain(loop.graph, paper_l6)
-        store = ArtifactStore(max_entries=1024)
         for model in models:
             summary, ev = chain.materialize(
                 loop, model, 24, SwapEstimator.MAXLIVE
             )
-            ref = run_evaluation(
-                loop, paper_l6, model, register_budget=24, store=store
-            )
+            ref = run_evaluation(loop, paper_l6, model, register_budget=24)
             assert (
                 ev.ii,
                 ev.spilled_values,
@@ -191,7 +188,7 @@ class TestSyntheticLoops:
         machine = clustered_config(4)
         loop = generate_loop(index)
         chain = pressure_report(loop, machine)
-        ref = run_pressure(loop, machine, store=ArtifactStore(256))
+        ref = run_pressure(loop, machine)
         assert chain.schedule == ref.schedule
         assert (
             chain.mii,
@@ -264,7 +261,7 @@ class TestBatchDifferential:
     chain nodes, lower-bound gating, array-space spilling) must be
     invisible at the ``run_jobs`` boundary: every (model, budget) point of
     a random graph returns the identical :class:`JobResult` grouped through
-    the chain and per point through ``execute_job`` (the pass pipeline).
+    the chain and per point through ``execute_job`` (the dict reference).
     """
 
     @given(dependence_graphs(), st.sampled_from([3, 6]))

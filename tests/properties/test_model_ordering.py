@@ -1,4 +1,4 @@
-"""The paper's model-ordering invariants, through the pass pipeline.
+"""The paper's model-ordering invariants, through the dict reference.
 
 Section 5's comparison rests on an ordering between the register-file
 models.  Two forms are theorems of the algorithms and are asserted exactly
@@ -21,9 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.models import Model
-from repro.core.swapping import SwapEstimator
+from repro.core.swapping import SwapEstimator, greedy_swap
 from repro.machine.config import paper_config
-from repro.pipeline import run_evaluation, run_pressure
+from repro.pipeline.pipelines import run_evaluation, run_pressure
 from repro.workloads.synthetic import generate_loop
 
 loop_indices = st.integers(0, 300)
@@ -49,14 +49,9 @@ class TestSwappedVersusPartitioned:
     @given(loop_indices, latencies)
     @settings(max_examples=50, deadline=None)
     def test_maxlive_estimate_monotone(self, index, latency):
-        from repro.pipeline.context import PassContext
-
-        ctx = PassContext(
-            loop=generate_loop(index), machine=paper_config(latency)
-        )
-        swap = ctx.swap_result
+        report = run_pressure(generate_loop(index), paper_config(latency))
+        swap = greedy_swap(report.schedule, estimator=SwapEstimator.MAXLIVE)
         assert swap.estimate_after <= swap.estimate_before
-        report = run_pressure(ctx.loop, ctx.machine)
         assert report.swapped <= report.partitioned + MAXLIVE_SLACK
 
 
