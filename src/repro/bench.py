@@ -23,6 +23,10 @@ Scenarios:
   :meth:`~repro.kernel.batch.LoopChain.materialize` lifts it, executed
   through the cycle-level simulator (the differential gate's hot path).
   Informational only: it has no baseline ratio and is never gated.
+* ``suite_build`` -- building the paper-sized ``perfect_club_like``
+  suite (``SUITE_BUILD_LOOPS`` loops), which every grid, proof and serve
+  suite request pays before anything is scheduled; reported as loops
+  built per second.  Informational: no ratio, never gated.
 * ``serve_single`` -- the mixed serve workload (the bench grid at a
   fixed ``SERVE_LOOPS`` suite size, twice, shuffled) through one
   ``repro serve`` subprocess on an ephemeral port, driven by
@@ -58,7 +62,7 @@ from repro.engine.jobs import evaluate_job
 from repro.engine.pool import run_jobs
 from repro.kernel.batch import LoopChain
 from repro.machine.config import paper_config
-from repro.workloads.suite import perfect_club_like
+from repro.workloads.suite import DEFAULT_SUITE_SIZE, perfect_club_like
 
 #: The canonical Figure 8/9 bench grid -- the single definition shared by
 #: this driver, the tests and ``perfbench``, so the CI-gated ratio and the
@@ -76,6 +80,7 @@ SCENARIOS = (
     "simulate",
     "check",
     "serve_single",
+    "suite_build",
 )
 
 #: Clients driving the serve scenario: enough concurrency that requests
@@ -90,6 +95,10 @@ SERVE_CLIENTS = 32
 #: the cold/warm scenarios are for; folding it in here would just drown
 #: the serving overhead being measured.
 SERVE_LOOPS = 24
+
+#: Suite size of the suite-build scenario, fixed regardless of ``--loops``:
+#: the paper's ~800 inner loops.
+SUITE_BUILD_LOOPS = DEFAULT_SUITE_SIZE
 
 def bench_grid(
     loops: Sequence[Loop], machine: MachineConfig
@@ -270,6 +279,16 @@ def run_bench(
             "p99_ms": round(best.p99_ms, 2),
         }
 
+    if "suite_build" in scenarios:
+        seconds, built = _timed(
+            lambda: len(perfect_club_like(SUITE_BUILD_LOOPS)), repeats
+        )
+        results["suite_build"] = {
+            "seconds": round(seconds, 6),
+            "loops": built,
+            "loops_per_sec": round(built / seconds, 1) if seconds else 0.0,
+        }
+
     # Lazy import: repro.report pulls in the experiment drivers, which a
     # bench run needs only for this one provenance string.
     from repro.report.provenance import git_revision
@@ -309,13 +328,15 @@ def format_snapshot(snapshot: dict) -> str:
     rows = []
     for name, data in snapshot["scenarios"].items():
         label = name
+        count, rate = data.get("points"), data.get("points_per_sec")
         if "workers" in data:
             label = f"{name} (workers={data['workers']})"
         elif "clients" in data:
             label = f"{name} (clients={data['clients']})"
-        rows.append(
-            (label, data["seconds"], data["points"], data["points_per_sec"])
-        )
+        elif "loops_per_sec" in data:
+            label = f"{name} (loops, not points)"
+            count, rate = data["loops"], data["loops_per_sec"]
+        rows.append((label, data["seconds"], count, rate))
     meta = snapshot["meta"]
     table = format_table(
         ["scenario", "seconds", "points", "points/s"],
@@ -432,6 +453,7 @@ __all__ = [
     "SCENARIOS",
     "SERVE_CLIENTS",
     "SERVE_LOOPS",
+    "SUITE_BUILD_LOOPS",
     "baseline_gaps",
     "bench_grid",
     "check_regression",

@@ -31,9 +31,10 @@ from repro.ir.operation import (
     OpType,
     ValueRef,
 )
+from repro.ir.validate import validate_graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """Handle to the value defined by an operation in the builder."""
 
@@ -41,7 +42,7 @@ class Value:
     builder_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Placeholder:
     """Forward reference to a value defined later (loop-carried)."""
 
@@ -103,20 +104,26 @@ class LoopBuilder:
     ) -> Operation:
         if self._built:
             raise BuilderError("builder already finalized")
-        coerced = [self._coerce(o) for o in operands]
-        # Placeholders are temporarily emitted as immediates and patched in
-        # bind(); record the (op, position) uses.
         final: list[Operand] = []
         pending: list[tuple[int, int]] = []
-        for pos, operand in enumerate(coerced):
-            if isinstance(operand, Placeholder):
-                final.append(Immediate(0.0))
-                pending.append((operand.index, pos))
-            else:
+        for operand in operands:
+            kind = type(operand)
+            # The common operands need no coercion: this builder's own
+            # values, and invariants and immediates as given.
+            if kind is Value and operand.builder_id == self._builder_id:
+                final.append(ValueRef(operand.op_id, 0))
+            elif kind is InvariantRef or kind is Immediate:
                 final.append(operand)
-        op = self._graph.add_operation(
-            optype, final, name=name, symbol=symbol
-        )
+            else:
+                coerced = self._coerce(operand)
+                if isinstance(coerced, Placeholder):
+                    # Emitted as an immediate until bind() patches the
+                    # recorded (op, position) use.
+                    pending.append((coerced.index, len(final)))
+                    final.append(Immediate(0.0))
+                else:
+                    final.append(coerced)
+        op = self._graph.add_operation(optype, final, name, symbol)
         for index, pos in pending:
             self._placeholder_uses.setdefault(index, []).append((op.op_id, pos))
         return op
@@ -218,8 +225,6 @@ class LoopBuilder:
             source=source,
         )
         if validate:
-            from repro.ir.validate import validate_graph
-
             validate_graph(self._graph)
         return loop
 

@@ -16,7 +16,7 @@ they are resolved at scheduling time (see :mod:`repro.sched`).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.ir.operation import (
@@ -65,6 +65,12 @@ class DependenceGraph:
     Operations are added through :meth:`add_operation`; flow edges are derived
     automatically from their operands.  Explicit memory/ordering edges are
     added with :meth:`add_edge`.
+
+    Ids only ascend: :meth:`add_operation` issues each new operation the next
+    id, and no operation is ever removed or re-inserted (:meth:`set_operands`
+    replaces one in place, :meth:`copy` keeps the order).  So insertion order
+    *is* id order, and :attr:`operations` returns the operations as inserted,
+    without sorting.
     """
 
     def __init__(self, name: str = "loop") -> None:
@@ -91,28 +97,29 @@ class DependenceGraph:
         op_id = self._next_id
         self._next_id += 1
         operands = tuple(operands)
-        for operand in operands:
-            if isinstance(operand, ValueRef):
-                self._check_producer(operand.producer)
+        self._check_producers(operands)
         op = Operation(
-            op_id=op_id,
-            name=name or f"op{op_id}",
-            optype=optype,
-            operands=operands,
-            symbol=symbol,
-            is_spill=is_spill,
+            op_id, name or f"op{op_id}", optype, operands, symbol, is_spill
         )
         self._ops[op_id] = op
         self._version += 1
         return op
 
-    def _check_producer(self, producer: int) -> None:
-        if producer not in self._ops:
-            raise GraphError(f"operand references unknown operation {producer}")
-        if not self._ops[producer].defines_value:
-            raise GraphError(
-                f"operation {self._ops[producer].name} defines no value"
-            )
+    def _check_producers(self, operands: tuple[Operand, ...]) -> None:
+        """Every value operand names an existing, value-defining operation."""
+        ops = self._ops
+        for operand in operands:
+            if isinstance(operand, ValueRef):
+                producer = ops.get(operand.producer)
+                if producer is None:
+                    raise GraphError(
+                        "operand references unknown operation "
+                        f"{operand.producer}"
+                    )
+                if not producer.optype.defines_value:
+                    raise GraphError(
+                        f"operation {producer.name} defines no value"
+                    )
 
     def set_operands(self, op_id: int, operands: Iterable[Operand]) -> None:
         """Replace the operand tuple of an existing operation.
@@ -121,10 +128,11 @@ class DependenceGraph:
         values and by the spiller to redirect consumers to reload operations.
         """
         operands = tuple(operands)
-        for operand in operands:
-            if isinstance(operand, ValueRef):
-                self._check_producer(operand.producer)
-        self._ops[op_id] = replace(self._ops[op_id], operands=operands)
+        self._check_producers(operands)
+        old = self._ops[op_id]
+        self._ops[op_id] = Operation(
+            op_id, old.name, old.optype, operands, old.symbol, old.is_spill
+        )
         self._version += 1
 
     def add_edge(
@@ -152,8 +160,8 @@ class DependenceGraph:
     # ------------------------------------------------------------------
     @property
     def operations(self) -> list[Operation]:
-        """Operations in id order."""
-        return [self._ops[i] for i in sorted(self._ops)]
+        """Operations in id order (which is insertion order)."""
+        return list(self._ops.values())
 
     def op(self, op_id: int) -> Operation:
         return self._ops[op_id]

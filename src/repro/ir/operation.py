@@ -17,7 +17,7 @@ register file and not counted, per Section 2), or to an immediate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class OpType(enum.Enum):
@@ -68,7 +68,7 @@ FU_CLASS_OF: dict[OpType, FuClass] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueRef:
     """Operand referring to the value defined by operation ``producer``.
 
@@ -85,14 +85,14 @@ class ValueRef:
             raise ValueError("dependence distance must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvariantRef:
     """Operand referring to a loop invariant (general register file)."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Immediate:
     """Constant operand."""
 
@@ -102,7 +102,7 @@ class Immediate:
 Operand = ValueRef | InvariantRef | Immediate
 
 
-@dataclass
+@dataclass(slots=True)
 class Operation:
     """A node of the data-dependence graph.
 
@@ -118,7 +118,7 @@ class Operation:
     op_id: int
     name: str
     optype: OpType
-    operands: tuple[Operand, ...] = field(default_factory=tuple)
+    operands: tuple[Operand, ...] = ()
     symbol: str | None = None
     is_spill: bool = False
 

@@ -157,9 +157,9 @@ def consumer_map(graph: DependenceGraph) -> ConsumerMap:
 
     Machine-independent flat form of ``DependenceGraph.consumers`` for every
     value at once: the same pairs in the same order, without the O(ops x
-    operands) rescan per queried value.  Used by the spiller, the spill
-    policies, lifetimes and value classification, which interrogate many
-    values of the same graph.  Memoized per graph like :func:`lower_loop`
+    operands) rescan per queried value.  Used by the spill policies,
+    lifetimes and value classification, which interrogate many values of
+    the same graph.  Memoized per graph like :func:`lower_loop`
     (mutation-aware); callers must not mutate the returned map.
     """
     version = getattr(graph, "_version", 0)

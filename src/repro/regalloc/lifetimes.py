@@ -20,8 +20,10 @@ of the paper's Table 2 (the example loop sums to 42).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.sched.schedule import Schedule
+if TYPE_CHECKING:  # annotations only: sched imports regalloc via codegen
+    from repro.sched.schedule import Schedule
 
 
 @dataclass(frozen=True)

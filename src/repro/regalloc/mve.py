@@ -21,9 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.regalloc.lifetimes import Lifetime, lifetimes
-from repro.sched.schedule import Schedule
+
+if TYPE_CHECKING:  # annotations only: sched imports this module via codegen
+    from repro.sched.schedule import Schedule
 
 
 @dataclass(frozen=True)

@@ -58,17 +58,13 @@ class SpillError(RuntimeError):
 
 def spill_value(graph: DependenceGraph, op_id: int) -> DependenceGraph:
     """Return a new graph with the value of ``op_id`` spilled to memory."""
-    from repro.kernel import consumer_map
-
     producer = graph.op(op_id)
     if not producer.defines_value:
         raise SpillError(f"{producer.name} defines no value")
-    # Flat consumer adjacency, one pass over the graph (same pair order as
-    # ``graph.consumers``), lifted back to operations where names matter.
-    consumers = [
-        (graph.op(consumer_id), distance)
-        for consumer_id, distance in consumer_map(graph)[op_id]
-    ]
+    # One scan of the operands for this value's uses only: the graphs the
+    # chain replays are fresh, so a whole-graph consumer map would be built
+    # for every value just to read one.
+    consumers = graph.consumers(op_id)
     if not consumers:
         raise SpillError(f"{producer.name} has no consumers; nothing to spill")
 

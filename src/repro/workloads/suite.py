@@ -69,9 +69,9 @@ def perfect_club_like(
     process, which is what makes engine sweep jobs reproducible and
     cacheable across runs.  Loop ``i`` is :func:`suite_loop` ``(i, ...)``.
     """
+    names = kernel_names() if include_kernels else []
     loops = tuple(
-        suite_loop(index, seed, include_kernels=include_kernels, config=config)
-        for index in range(n_loops)
+        _loop(index, names, seed, config) for index in range(n_loops)
     )
     name = f"perfect-club-like-{n_loops}"
     if seed != DEFAULT_SEED:
@@ -92,7 +92,15 @@ def suite_loop(
     ``index - n_kernels`` of the seeded family -- each synthetic loop is
     seeded by its own index, so it needs none of its predecessors.
     """
-    names = kernel_names() if include_kernels else []
+    return _loop(
+        index, kernel_names() if include_kernels else [], seed, config
+    )
+
+
+def _loop(
+    index: int, names: list[str], seed: int, config: SyntheticConfig | None
+) -> Loop:
+    """Loop ``index`` of a suite whose kernels are ``names``, in order."""
     if index < len(names):
         return make_kernel(names[index])
     return generate_loop(index - len(names), seed=seed, config=config)

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.ir.builder import InvariantRef, LoopBuilder, Value
 from repro.ir.loop import Loop
+from repro.ir.operation import ValueRef
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,10 @@ class SyntheticConfig:
     max_trip: int = 50_000
 
 
+#: The calibrated configuration, built once (it is frozen).
+_DEFAULT_CONFIG = SyntheticConfig()
+
+
 def _pick_size(rng: random.Random, config: SyntheticConfig) -> SizeClass:
     total = sum(c.weight for c in config.size_classes)
     r = rng.random() * total
@@ -103,7 +108,7 @@ def generate_loop(
     config: SyntheticConfig | None = None,
 ) -> Loop:
     """Generate the ``index``-th synthetic loop of a seeded family."""
-    config = config or SyntheticConfig()
+    config = config or _DEFAULT_CONFIG
     rng = random.Random(f"{seed}:{index}")
     b = LoopBuilder(f"synthetic-{index:04d}")
 
@@ -209,8 +214,6 @@ def _store_sinks(b: LoopBuilder, values: list[Value], rng: random.Random) -> Non
 
 
 def _consumed_ids(b: LoopBuilder) -> set[int]:
-    from repro.ir.operation import ValueRef
-
     consumed: set[int] = set()
     for op in b._graph.operations:
         for operand in op.operands:

@@ -10,6 +10,7 @@ from repro.__main__ import main as cli_main
 from repro.bench import (
     SCENARIOS,
     SERVE_LOOPS,
+    SUITE_BUILD_LOOPS,
     baseline_gaps,
     check_regression,
     format_snapshot,
@@ -72,6 +73,16 @@ class TestRunBench:
         snap = run_bench(n_loops=1, scenarios=("simulate",))
         assert snap["scenarios"]["simulate"]["points"] == 7
         assert snap["ratios"] == {}
+
+    def test_suite_build_scenario_counts_loops(self):
+        """Suite construction rides along as loops per second, with no
+        ratio, so it never gates."""
+        snap = run_bench(n_loops=1, scenarios=("suite_build",))
+        data = snap["scenarios"]["suite_build"]
+        assert data["loops"] == SUITE_BUILD_LOOPS == 800
+        assert data["loops_per_sec"] > 0
+        assert snap["ratios"] == {}
+        assert "suite_build (loops, not points)" in format_snapshot(snap)
 
 
 class TestRegressionGate:
@@ -187,6 +198,7 @@ class TestCli:
             "simulate",
             "check",
             "serve_single",
+            "suite_build",
         )
 
     def test_gate_notes_stale_baseline(self, tmp_path, capsys):

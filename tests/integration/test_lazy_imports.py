@@ -69,6 +69,28 @@ def loaded_by(module: str, watched: tuple[str, ...]) -> list[str]:
     return json.loads(result.stdout)
 
 
+SUBPACKAGES = sorted(
+    f"repro.{path.name}"
+    for path in (Path(SRC) / "repro").iterdir()
+    if (path / "__init__.py").exists()
+)
+
+
+@pytest.mark.parametrize("module", SUBPACKAGES)
+def test_each_subpackage_imports_first(module):
+    """No import cycle hides behind the order a caller happens to use:
+    each subpackage imports cleanly as the first ``repro`` import."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize(
     "module",
     [
