@@ -44,8 +44,9 @@ Quickstart::
 
 from __future__ import annotations
 
-import importlib
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_attributes
 
 if TYPE_CHECKING:
     from repro.api import (
@@ -189,14 +190,4 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value  # later lookups skip this hook
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_attributes(__name__, _EXPORTS)

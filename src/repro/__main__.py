@@ -345,7 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="worker processes for the dispatch scenario (default: serial)",
+        help=(
+            "worker processes for the dispatch and check scenarios "
+            "(default: serial)"
+        ),
     )
     bench_p.add_argument(
         "--repeats",

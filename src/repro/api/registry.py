@@ -567,11 +567,14 @@ def _run_check_entry(
     engine: "Engine | None" = None, loops: int = 200, latency: int = 6
 ) -> object:
     # Imported lazily, like validate's: repro.check drives the pipeline.
-    # The engine is unused for the same reason -- proofs must come from
-    # evaluating this build, never from cached results.
+    # The proof is one proving map on the lent engine (a session's runs
+    # serially); it bypasses the engine's cache, because proofs must come
+    # from evaluating this build, never from cached results.
     from repro.check import run_static_validation
 
-    return run_static_validation(n_loops=loops, latency=latency)
+    return run_static_validation(
+        n_loops=loops, latency=latency, engine=engine
+    )
 
 
 register_experiment(

@@ -17,12 +17,17 @@ Scenarios:
   :class:`~repro.engine.cache.ResultCache` the cold pass primed (every
   point a cache hit, no chain walks);
 * ``dispatch``     -- the same points as engine jobs through
-  :func:`repro.engine.pool.run_jobs` (chunked IPC dispatch when
-  ``--workers`` > 1, the serial engine otherwise);
+  :func:`repro.engine.pool.run_jobs` (about four tasks of whole loop
+  groups per worker, each task's results one message, when
+  ``--workers`` > 1; the serial engine otherwise);
 * ``simulate``     -- every grid point's final schedule/allocation, as
   :meth:`~repro.kernel.batch.LoopChain.materialize` lifts it, executed
   through the cycle-level simulator (the differential gate's hot path).
   Informational only: it has no baseline ratio and is never gated.
+* ``check``        -- the static proof of every suite point under the four
+  ``CHECK_MODELS``: one proving engine map
+  (:func:`repro.check.coverage.run_static_validation`) on ``--workers``
+  processes, recorded with that worker count.  Informational: no ratio.
 * ``suite_build`` -- building the paper-sized ``perfect_club_like``
   suite (``SUITE_BUILD_LOOPS`` loops), which every grid, proof and serve
   suite request pays before anything is scheduled; reported as loops
@@ -52,7 +57,6 @@ import time
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from repro.analysis.reporting import format_table
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.ir.loop import Loop
@@ -213,14 +217,19 @@ def run_bench(
         record("simulate", seconds, points)
     if "check" in scenarios:
         # The static gate's hot path: prove every suite point's schedule
-        # and allocation analytically, cold (fresh chains per repeat) --
-        # this is the cost of running the prover on 100% of the grid,
-        # the number that justifies static-always where sim samples.
+        # and allocation analytically, cold (fresh chains and a fresh
+        # pool of ``workers`` per repeat) -- this is the cost of running
+        # the prover on 100% of the grid, the number that justifies
+        # static-always where sim samples.
         # Imported lazily: repro.check rides the validate layering.
         from repro.check import run_static_validation
+        from repro.engine.pool import Engine
 
         def _check() -> int:
-            result = run_static_validation(loops=loops, latency=LATENCY)
+            with Engine(workers=workers, cache=None) as engine:
+                result = run_static_validation(
+                    loops=loops, latency=LATENCY, engine=engine
+                )
             if not result.ok:
                 raise RuntimeError(
                     f"check bench disproved points: {result.format()}"
@@ -229,6 +238,7 @@ def run_bench(
 
         seconds, points = _timed(_check, repeats)
         record("check", seconds, points)
+        results["check"]["workers"] = workers
     if "dispatch" in scenarios:
         seconds, points = _timed(
             lambda: len(run_jobs(jobs, workers=workers, cache=None)),
@@ -325,6 +335,9 @@ def run_bench(
 
 def format_snapshot(snapshot: dict) -> str:
     """Human-readable view of one snapshot."""
+    # Imported here: the bench harness runs without repro.analysis.
+    from repro.analysis.reporting import format_table
+
     rows = []
     for name, data in snapshot["scenarios"].items():
         label = name

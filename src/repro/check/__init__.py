@@ -7,15 +7,18 @@ proofs:
   dependence legality, resource consistency, allocation soundness, and
   spill/traffic accounting analytically, in O(ops + edges);
 * :mod:`repro.check.coverage` runs that proof over 100% of the suite
-  grid, on the artifacts of the engine's own evaluator (the dynamic
+  grid, as one proving map of the engine itself: each point is proved
+  on the walk that produced it, in the engine's workers (the dynamic
   simulator gate stays sampled);
 * :mod:`repro.check.lint` turns the same discipline on the codebase
   itself: AST rules pinning the determinism, immutability, and
   concurrency invariants the engine cache and fingerprints rely on.
 
 Layering: ``check`` imports only core/ir/sched/regalloc/spill/pipeline
-and, for the evaluator it proves, :mod:`repro.kernel.batch`.
-It must never import :mod:`repro.validate` -- validate imports check.
+and, for the evaluator it proves and maps on, :mod:`repro.kernel.batch`
+and :mod:`repro.engine` (whose ``execute_batch`` imports the checker back
+only when it proves).  It must never import :mod:`repro.validate` --
+validate imports check.
 """
 
 from repro.check.coverage import (

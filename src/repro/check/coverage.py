@@ -10,12 +10,16 @@ file model -- and proves each evaluated point with
 scenario times it to document that 100% coverage is affordable.
 
 Every point is proved on the evaluator that produces it for run, report
-and serve: one :class:`~repro.kernel.batch.LoopChain` per loop serves all
-of the loop's models, and each walk's exit node is materialized
-(:meth:`~repro.kernel.batch.LoopChain.materialize`) into the schedule and
-allocation the proof reads.  :func:`chain_claims` additionally holds the
-chain's served summary numbers to those artifacts.  Every victim policy is
-a key the chain calls, so every knob setting walks a chain here too.
+and serve: the grid is one :meth:`~repro.engine.pool.Engine.map` of
+evaluate jobs with ``prove=True``.  Each loop's points walk one
+:class:`~repro.kernel.batch.LoopChain` inside
+:func:`~repro.engine.jobs.execute_batch`, which materializes each walk's
+exit node (:meth:`~repro.kernel.batch.LoopChain.materialize`) into the
+schedule and allocation the proof reads and proves it there
+(:func:`prove_point`), in a worker process when the engine has workers.
+:func:`chain_claims` additionally holds the chain's served summary
+numbers to those artifacts.  Every victim policy is a key the chain
+calls, so every knob setting walks a chain here too.
 
 Layering: ``check`` sits below ``validate`` (validate imports check and
 folds findings into its reports), so the model grid and suite defaults
@@ -25,14 +29,17 @@ are defined here rather than imported from the sampling module.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.check.invariants import Finding, StaticCheck, check_evaluation
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
+from repro.engine.jobs import EvalJob, evaluate_job
+from repro.engine.pool import Engine, ProgressFn
 from repro.ir.loop import Loop
-from repro.kernel.batch import BatchEvaluation, LoopChain
+from repro.kernel.batch import BatchEvaluation
 from repro.machine.config import MachineConfig, paper_config
 from repro.spill.spiller import LoopEvaluation
 from repro.workloads.suite import DEFAULT_SEED, perfect_club_like
@@ -48,7 +55,11 @@ CHECK_MODELS: tuple[tuple[Model, int | None], ...] = (
     (Model.SWAPPED, 16),
 )
 
-ProgressFn = Callable[[int, int], None]
+#: A proof of fewer points runs in process when no engine is lent: a pool
+#: started for it costs more than it saves (a 50-loop suite, 200 points,
+#: proved in 0.15 s serially against 0.23 s on two workers; 75 loops in
+#: 0.85 s against 0.53 s -- docs/performance.md, "Proving in parallel").
+POOL_MIN_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -150,13 +161,52 @@ def chain_claims(
     ]
 
 
+def prove_point(
+    summary: BatchEvaluation, evaluation: LoopEvaluation
+) -> StaticCheck:
+    """Prove one materialized point and the summary served for it."""
+    check = check_evaluation(evaluation)
+    claims = chain_claims(summary, evaluation)
+    if claims:
+        check = replace(check, findings=check.findings + tuple(claims))
+    return check
+
+
+def _prove_jobs(
+    jobs: Sequence[EvalJob],
+    reproducers: Sequence[dict | None],
+    engine: Engine | None = None,
+    progress: ProgressFn | None = None,
+) -> tuple[StaticCheck, ...]:
+    """Evaluate and prove ``jobs`` in one proving map of ``engine``.
+
+    Without an engine the map runs on a default one with no cache: one
+    worker per core from :data:`POOL_MIN_POINTS` points up, serial below.
+    A lent engine's cache is bypassed (see
+    :func:`~repro.engine.pool.run_jobs`).  Each point's reproducer is
+    attached here, in the calling process; ``None`` keeps the proof's
+    default one.
+    """
+    default = Engine(
+        workers=None if len(jobs) >= POOL_MIN_POINTS else 0, cache=None
+    )
+    with nullcontext(engine) if engine is not None else default as prover:
+        results = prover.map(jobs, progress=progress, prove=True)
+    checks = []
+    for result, reproducer in zip(results, reproducers):
+        check: StaticCheck = result.proof  # type: ignore[union-attr,assignment]
+        if reproducer is not None:
+            check = replace(check, reproducer=dict(reproducer, static=True))
+        checks.append(check)
+    return tuple(checks)
+
+
 def check_grid_point(
     loop: Loop,
     machine: MachineConfig,
     model: Model,
     register_budget: int | None,
     reproducer: dict | None = None,
-    chain: LoopChain | None = None,
     swap_estimator: SwapEstimator = SwapEstimator.MAXLIVE,
     max_rounds: int = 200,
     victim_policy: str = "longest",
@@ -165,25 +215,21 @@ def check_grid_point(
 ) -> StaticCheck:
     """Evaluate one point on the production evaluator and prove it.
 
-    ``chain`` lends the loop's :class:`LoopChain` (built with the same
-    knobs) so a grid shares one chain across the loop's points; without
-    it one is built here.
+    The one-job case of :func:`run_static_validation`'s map: a single
+    job runs in the calling process, whatever the engine.
     """
-    if chain is None:
-        chain = LoopChain(
-            loop.graph,
-            machine,
-            victim_policy=victim_policy,
-            pressure_strategy=pressure_strategy,
-            ii_escalation=ii_escalation,
-        )
-    summary, evaluation = chain.materialize(
-        loop, model, register_budget, swap_estimator, max_rounds
+    job = evaluate_job(
+        loop,
+        machine,
+        model,
+        register_budget,
+        swap_estimator,
+        victim_policy=victim_policy,
+        pressure_strategy=pressure_strategy,
+        ii_escalation=ii_escalation,
+        max_rounds=max_rounds,
     )
-    check = check_evaluation(evaluation, reproducer=reproducer)
-    claims = chain_claims(summary, evaluation)
-    if claims:
-        check = replace(check, findings=check.findings + tuple(claims))
+    (check,) = _prove_jobs([job], [reproducer])
     return check
 
 
@@ -194,13 +240,15 @@ def run_static_validation(
     models: Sequence[tuple[Model, int | None]] = CHECK_MODELS,
     loops: Iterable[Loop] | None = None,
     progress: ProgressFn | None = None,
+    engine: Engine | None = None,
 ) -> StaticValidation:
     """Statically verify every point of the suite grid.
 
-    Unlike the sampled simulator gate this covers 100% of points.  Each
-    loop's points share one chain, so a loop is scheduled once per chain
-    state rather than once per point, and only exit nodes are
-    materialized for the proofs.
+    Unlike the sampled simulator gate this covers 100% of points.  The
+    grid is one proving map on ``engine`` (see :func:`_prove_jobs`): each
+    loop is one task, its points share one chain, so a loop is scheduled
+    once per chain state rather than once per point, and only exit nodes
+    are materialized for the proofs.  ``progress`` fires per proved point.
     """
     start = time.perf_counter()
     suite = (
@@ -210,45 +258,36 @@ def run_static_validation(
     )
     machine = paper_config(latency)
     grid = tuple(models)
-    total = len(suite) * len(grid)
-    points: list[StaticCheck] = []
+    jobs = []
+    reproducers = []
     for index, loop in enumerate(suite):
-        chain = LoopChain(loop.graph, machine)
         for model, budget in grid:
-            reproducer = {
-                "loop": {
-                    "type": "loop",
-                    "kind": "suite",
-                    "index": index,
-                    "n_loops": len(suite),
-                    "seed": suite_seed,
-                },
-                "machine": {
-                    "type": "machine",
-                    "kind": "paper",
-                    "latency": latency,
-                },
-                "model": model.value,
-                "register_budget": budget,
-            }
-            points.append(
-                check_grid_point(
-                    loop,
-                    machine,
-                    model,
-                    budget,
-                    reproducer=reproducer,
-                    chain=chain,
-                )
+            jobs.append(evaluate_job(loop, machine, model, budget))
+            reproducers.append(
+                {
+                    "loop": {
+                        "type": "loop",
+                        "kind": "suite",
+                        "index": index,
+                        "n_loops": len(suite),
+                        "seed": suite_seed,
+                    },
+                    "machine": {
+                        "type": "machine",
+                        "kind": "paper",
+                        "latency": latency,
+                    },
+                    "model": model.value,
+                    "register_budget": budget,
+                }
             )
-            if progress is not None:
-                progress(len(points), total)
+    points = _prove_jobs(jobs, reproducers, engine, progress)
     return StaticValidation(
         n_loops=len(suite),
         suite_seed=suite_seed,
         latency=latency,
         models=grid,
-        points=tuple(points),
+        points=points,
         wall_seconds=time.perf_counter() - start,
     )
 
@@ -256,8 +295,10 @@ def run_static_validation(
 __all__ = [
     "CHECK_MODELS",
     "DEFAULT_LATENCY",
+    "POOL_MIN_POINTS",
     "StaticValidation",
     "chain_claims",
     "check_grid_point",
+    "prove_point",
     "run_static_validation",
 ]

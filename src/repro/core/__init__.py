@@ -1,5 +1,11 @@
 """The paper's contribution: non-consistent dual register file management."""
 
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_attributes
+
 from repro.core.clustering import (
     ClusterAssignment,
     ValueClasses,
@@ -9,8 +15,17 @@ from repro.core.clustering import (
 )
 from repro.core.dualfile import DualAllocation, allocate_dual, dual_max_live
 from repro.core.models import Model, Requirement, required_registers
-from repro.core.pressure import PressureReport, pressure_report
 from repro.core.swapping import SwapEstimator, SwapResult, greedy_swap
+
+if TYPE_CHECKING:
+    from repro.core.pressure import PressureReport, pressure_report
+
+#: Names of the pressure report, imported on first access (PEP 562):
+#: the evaluator never loads it.
+_LAZY: dict[str, str] = {
+    "PressureReport": "repro.core.pressure",
+    "pressure_report": "repro.core.pressure",
+}
 
 __all__ = [
     "ClusterAssignment",
@@ -30,3 +45,6 @@ __all__ = [
     "required_registers",
     "scheduler_assignment",
 ]
+
+
+__getattr__, __dir__ = lazy_attributes(__name__, _LAZY)

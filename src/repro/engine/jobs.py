@@ -23,13 +23,12 @@ aggregate, and round-trips through JSON for the on-disk cache.
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
@@ -47,6 +46,9 @@ from repro.pipeline.policies import (
     get_escalation,
     get_policy,
 )
+
+if TYPE_CHECKING:
+    from repro.check.invariants import StaticCheck
 
 #: Bump when evaluation semantics change; invalidates every cached result.
 #: 2: evaluation runs through the pass pipeline; keys carry the policy knobs.
@@ -93,6 +95,8 @@ def tree_fingerprint(root: Path) -> str:
     rather than leaving a half-written path-without-content record, so two
     walks over identical trees always agree.
     """
+    import hashlib
+
     digest = hashlib.sha256()
     for path in _source_files(root):
         try:
@@ -264,6 +268,10 @@ class EvalResult:
     spill_ops_per_iteration: int
     memory_bandwidth: int
     registers_required: int
+    #: The point's static proof, on the results of a proving
+    #: :func:`execute_batch`; ``None`` otherwise.  Never cached and never
+    #: compared: two results with equal numbers are equal results.
+    proof: "StaticCheck | None" = field(default=None, compare=False)
 
     @property
     def cycles(self) -> int:
@@ -380,13 +388,22 @@ def lent_chains(chains: dict[BatchKey, kbatch.LoopChain]) -> Iterator[None]:
         _lent_chains.reset(token)
 
 
-def execute_batch(jobs: Sequence[EvalJob]) -> list[JobResult]:
+def execute_batch(
+    jobs: Sequence[EvalJob], prove: bool = False
+) -> list[JobResult]:
     """Execute one :func:`batch_key` group against one shared chain.
 
     The schedule-stage artifacts (MII, modulo schedule, lifetimes, live
     profiles) are computed once per chain *state* and shared by every
     (model, budget) walk -- see :mod:`repro.kernel.batch`.  Every victim
     policy is a key the chain calls, so every group walks one.
+
+    ``prove=True`` materializes each evaluate job's exit node in the same
+    walk (:meth:`~repro.kernel.batch.LoopChain.materialize`) and proves it
+    (:func:`repro.check.coverage.prove_point`): the result carries that
+    :class:`~repro.check.invariants.StaticCheck` as its ``proof``, with
+    the default reproducer the caller may replace.  Without it no
+    artifact is lifted and the checker is never imported.
 
     Inside :func:`lent_chains`, the group walks the lent memo's chain for
     its :func:`batch_key` if there is one, so a loop's later groups reuse
@@ -395,6 +412,8 @@ def execute_batch(jobs: Sequence[EvalJob]) -> list[JobResult]:
     A chain leaves the memo while it is walked and returns only when the
     walk finished, so a walk that raises evicts it.
     """
+    if prove:
+        from repro.check.coverage import prove_point
     first = jobs[0]
     chain = None
     chains = _lent_chains.get()
@@ -425,28 +444,37 @@ def execute_batch(jobs: Sequence[EvalJob]) -> list[JobResult]:
                     max_live=pressure.max_live,
                 )
             )
-        else:
-            evaluation = chain.evaluate(
-                Model(job.model),
-                job.register_budget,
-                SwapEstimator(job.swap_estimator),
+            continue
+        model = Model(job.model)
+        estimator = SwapEstimator(job.swap_estimator)
+        proof = None
+        if prove:
+            evaluation, lifted = chain.materialize(
+                job.loop, model, job.register_budget, estimator,
                 max_rounds=job.max_rounds,
             )
-            results.append(
-                EvalResult(
-                    loop_name=job.loop.name,
-                    trip_count=job.loop.trip_count,
-                    ii=evaluation.ii,
-                    mii=evaluation.mii,
-                    spilled_values=evaluation.spilled_values,
-                    ii_increases=evaluation.ii_increases,
-                    fits=evaluation.fits,
-                    memory_ops_per_iteration=evaluation.memory_ops,
-                    spill_ops_per_iteration=evaluation.spill_ops,
-                    memory_bandwidth=job.machine.memory_bandwidth,
-                    registers_required=evaluation.registers,
-                )
+            proof = prove_point(evaluation, lifted)
+        else:
+            evaluation = chain.evaluate(
+                model, job.register_budget, estimator,
+                max_rounds=job.max_rounds,
             )
+        results.append(
+            EvalResult(
+                loop_name=job.loop.name,
+                trip_count=job.loop.trip_count,
+                ii=evaluation.ii,
+                mii=evaluation.mii,
+                spilled_values=evaluation.spilled_values,
+                ii_increases=evaluation.ii_increases,
+                fits=evaluation.fits,
+                memory_ops_per_iteration=evaluation.memory_ops,
+                spill_ops_per_iteration=evaluation.spill_ops,
+                memory_bandwidth=job.machine.memory_bandwidth,
+                registers_required=evaluation.registers,
+                proof=proof,
+            )
+        )
     if chains is not None:
         chains[key] = chain  # most recently used last
         while len(chains) > CHAIN_MEMO_SIZE:
@@ -456,7 +484,10 @@ def execute_batch(jobs: Sequence[EvalJob]) -> list[JobResult]:
 
 def result_to_dict(result: JobResult) -> dict:
     """JSON-serializable form for the on-disk cache."""
-    data = dict(vars(result))  # flat: every field is a scalar
+    # Flat: every field but an evaluation's proof, which is never cached,
+    # is a scalar.
+    data = dict(vars(result))
+    data.pop("proof", None)
     data["kind"] = PRESSURE if isinstance(result, PressureResult) else EVALUATE
     return data
 

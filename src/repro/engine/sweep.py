@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from repro.analysis.reporting import format_table
 from repro.core.models import Model
 from repro.engine.cache import CacheStats
 from repro.engine.jobs import (
@@ -382,6 +381,9 @@ def outcome_headers(outcome: SweepOutcome) -> list[str]:
 
 def format_outcome(outcome: SweepOutcome) -> str:
     """Human report: aggregate table plus throughput/cache footer."""
+    # Imported here: a sweep that is not printed never loads repro.analysis.
+    from repro.analysis.reporting import format_table
+
     headers = outcome_headers(outcome)
     table = format_table(
         headers, aggregate_rows(outcome), title=outcome.spec.describe()

@@ -14,6 +14,12 @@ Key entry points: :func:`paper_config`, :func:`pxly`,
 :func:`example_config`, and :func:`compare_organizations`.
 """
 
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_attributes
+
 from repro.machine.config import (
     ConfigError,
     MachineConfig,
@@ -21,12 +27,6 @@ from repro.machine.config import (
     example_config,
     paper_config,
     pxly,
-)
-from repro.machine.costmodel import (
-    CostModel,
-    OrganizationCost,
-    RegisterFileGeometry,
-    compare_organizations,
 )
 from repro.machine.resources import (
     ADDER,
@@ -36,6 +36,23 @@ from repro.machine.resources import (
     ResourcePool,
     STORE_PORT,
 )
+
+if TYPE_CHECKING:
+    from repro.machine.costmodel import (
+        CostModel,
+        OrganizationCost,
+        RegisterFileGeometry,
+        compare_organizations,
+    )
+
+#: Names of the register-file cost model, imported on first access
+#: (PEP 562): building a machine never loads it.
+_LAZY: dict[str, str] = {
+    "CostModel": "repro.machine.costmodel",
+    "OrganizationCost": "repro.machine.costmodel",
+    "RegisterFileGeometry": "repro.machine.costmodel",
+    "compare_organizations": "repro.machine.costmodel",
+}
 
 __all__ = [
     "ADDER",
@@ -55,3 +72,6 @@ __all__ = [
     "paper_config",
     "pxly",
 ]
+
+
+__getattr__, __dir__ = lazy_attributes(__name__, _LAZY)

@@ -21,8 +21,6 @@ handing it to the reference or the engine.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from weakref import WeakKeyDictionary
 
 from repro.ir.ddg import DependenceGraph
@@ -130,6 +128,11 @@ def machine_fingerprint(machine: MachineConfig) -> str:
 
 def digest(payload: object) -> str:
     """SHA-256 of the canonical JSON form of ``payload``."""
+    # Imported on the first hash: importing the engine or the proof does
+    # not load them.
+    import hashlib
+    import json
+
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

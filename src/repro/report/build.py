@@ -123,8 +123,9 @@ def generate_report(
 
     ``static_check=True`` statically proves **every** point of the
     report's suite grid (dependences, reservation table, allocation,
-    spill accounting -- see :mod:`repro.check`); simulation stays
-    sampled because it is orders of magnitude more expensive.
+    spill accounting -- see :mod:`repro.check`) in one proving map on
+    ``engine`` (its workers, not its cache); simulation stays sampled
+    because it is orders of magnitude more expensive.
     """
     if fmt not in RENDERERS:
         raise ValueError(
@@ -152,7 +153,7 @@ def generate_report(
     if static_check:
         from repro.check.coverage import run_static_validation
 
-        static = run_static_validation(n_loops=n_loops)
+        static = run_static_validation(n_loops=n_loops, engine=engine)
     generated_at = (
         datetime.now(timezone.utc).strftime("%Y-%m-%d %H:%M UTC")
         if stamp

@@ -285,3 +285,46 @@ class TestReport:
         assert (tmp_path / "report.md").exists()
         assert response.text and "reproduction report" in response.text
         assert response.path == str(tmp_path / "report.md")
+
+
+class TestProofsStayInProcess:
+    """A session's engine is serial: a proof through it forks nothing."""
+
+    @staticmethod
+    def _forbid_pools(monkeypatch):
+        from repro.engine import pool
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a session proof started a worker pool")
+
+        monkeypatch.setattr(pool, "WorkerPool", forbidden)
+
+    def test_static_validate_request_starts_no_child(self, monkeypatch):
+        import multiprocessing
+
+        from repro.api import ValidateRequest
+
+        self._forbid_pools(monkeypatch)
+        with Session() as session:
+            response = session.validate(
+                ValidateRequest(
+                    loop=HYDRO, model="swapped", register_budget=8,
+                    tiers=("batch",), static=True,
+                )
+            )
+        assert response.ok, response.text
+        assert response.static_findings == 0
+        assert multiprocessing.active_children() == []
+
+    def test_static_check_experiment_proves_on_the_session_engine(
+        self, monkeypatch
+    ):
+        import multiprocessing
+
+        self._forbid_pools(monkeypatch)
+        with Session() as session:
+            response = session.experiment(
+                ExperimentRequest(name="check", params={"loops": 3})
+            )
+        assert "12 points statically verified, all proved" in response.text
+        assert multiprocessing.active_children() == []

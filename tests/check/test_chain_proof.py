@@ -17,6 +17,8 @@ from repro.check import check_evaluation, coverage, run_static_validation
 from repro.check.coverage import chain_claims, check_grid_point
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
+from repro.engine.pool import Engine
+from repro.kernel import batch as kbatch
 from repro.kernel.batch import LoopChain
 from repro.machine.config import paper_config
 from repro.pipeline import pipelines
@@ -156,8 +158,10 @@ class TestRouting:
     def test_grid_builds_one_chain_per_loop_and_no_pipeline(
         self, monkeypatch
     ):
+        """Counted in this process: the proof runs on a serial engine, and
+        its chains are built where ``execute_batch`` builds them."""
         built = []
-        original = coverage.LoopChain
+        original = kbatch.LoopChain
 
         def counting(*args, **kwargs):
             built.append(args[0])
@@ -166,9 +170,11 @@ class TestRouting:
         def forbidden(*_args, **_kwargs):
             raise AssertionError("the proof grid re-ran the reference")
 
-        monkeypatch.setattr(coverage, "LoopChain", counting)
+        monkeypatch.setattr(kbatch, "LoopChain", counting)
         monkeypatch.setattr(pipelines, "run_evaluation", forbidden)
-        result = run_static_validation(n_loops=5)
+        result = run_static_validation(
+            n_loops=5, engine=Engine(workers=0, cache=None)
+        )
         assert result.ok, result.format()
         assert len(built) == 5
         assert len(result.points) == 5 * len(coverage.CHECK_MODELS)
@@ -191,13 +197,13 @@ class TestRouting:
             return -op_id - length  # an order no built-in policy has
 
         built = []
-        original = coverage.LoopChain
+        original = kbatch.LoopChain
 
         def counting(*args, **kwargs):
             built.append(kwargs["victim_policy"])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(coverage, "LoopChain", counting)
+        monkeypatch.setattr(kbatch, "LoopChain", counting)
         policy = SpillPolicy("test-key", short_and_early)
         monkeypatch.setitem(SPILL_POLICIES, policy.name, policy)
         check = check_grid_point(
@@ -242,3 +248,78 @@ class TestValidatePointProvesTheChain:
         kinds = {mismatch.kind for mismatch in report.mismatches}
         assert "static:claim" in kinds
         assert "tier" in kinds  # the summary comparison still runs
+
+
+class TestParallelProof:
+    """The proof's one map gives the same points on any worker count."""
+
+    @staticmethod
+    def _prove(workers, **kwargs):
+        with Engine(workers=workers, cache=None) as engine:
+            return run_static_validation(engine=engine, **kwargs)
+
+    def test_serial_and_parallel_points_are_equal(self):
+        serial = self._prove(0, n_loops=60)
+        parallel = self._prove(2, n_loops=60)
+        assert serial.ok, serial.format()
+        assert len(parallel.points) == 60 * len(coverage.CHECK_MODELS)
+        assert parallel.points == serial.points  # order, findings, reproducers
+
+    @pytest.mark.usefixtures("forked_workers")
+    def test_worker_reports_a_corrupted_point_identically(
+        self, monkeypatch
+    ):
+        """The chain understates its Unified register count, as in
+        ``test_register_claim_disagreement_is_a_finding``; the workers
+        fork after the patch, so they walk the same lying chain."""
+        original = LoopChain._walk
+
+        def understated(self, model, *args, **kwargs):
+            summary, node = original(self, model, *args, **kwargs)
+            if model is Model.UNIFIED:
+                summary = dataclasses.replace(
+                    summary, registers=summary.registers - 1
+                )
+            return summary, node
+
+        monkeypatch.setattr(LoopChain, "_walk", understated)
+        serial = self._prove(0, n_loops=6)
+        parallel = self._prove(2, n_loops=6)
+        assert parallel.points == serial.points
+        assert len(parallel.failures) == 6
+        for point in parallel.failures:
+            assert point.model == Model.UNIFIED.value
+            (finding,) = point.findings
+            assert finding.kind == "claim"
+            assert "registers_required" in finding.message
+            assert point.reproducer["loop"]["kind"] == "suite"
+            assert point.reproducer["static"] is True
+
+    @staticmethod
+    def _count_pools(monkeypatch) -> list[int]:
+        from repro.engine import pool
+
+        started = []
+
+        class Counting(pool.WorkerPool):
+            def __init__(self, workers: int) -> None:
+                started.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(pool, "WorkerPool", Counting)
+        monkeypatch.setattr(pool, "default_workers", lambda: 2)
+        return started
+
+    def test_small_default_proof_runs_in_process(self, monkeypatch):
+        started = self._count_pools(monkeypatch)
+        n_loops = coverage.POOL_MIN_POINTS // len(coverage.CHECK_MODELS) - 1
+        result = run_static_validation(n_loops=n_loops)
+        assert result.ok, result.format()
+        assert started == []
+
+    def test_default_proof_pools_from_the_threshold(self, monkeypatch):
+        started = self._count_pools(monkeypatch)
+        monkeypatch.setattr(coverage, "POOL_MIN_POINTS", 12)
+        result = run_static_validation(n_loops=3)
+        assert result.ok, result.format()
+        assert started == [2]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.machine.config import example_config, paper_config
@@ -34,3 +36,15 @@ def example():
 def example_schedule(example_machine):
     """The example loop scheduled on the example machine (II = 1)."""
     return modulo_schedule(example_loop().graph, example_machine)
+
+
+@pytest.fixture()
+def forked_workers():
+    """Skip unless pool workers are forked.
+
+    Only a forked worker inherits what a test patched before its pool
+    started; under ``spawn`` or ``forkserver`` (Python 3.14's Linux
+    default) it imports the package afresh and runs the unpatched code.
+    """
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers inherit a test's patches only when forked")

@@ -90,6 +90,26 @@ class TestRunJobs:
         )
         assert all(flags)
 
+    @pytest.mark.usefixtures("forked_workers")
+    def test_pooled_fault_surfaces_and_caches_nothing_of_its_group(
+        self, jobs, golden, loops, monkeypatch
+    ):
+        """The same fault inside a worker: re-raised in the parent, and
+        nothing of the task that held the group is cached."""
+        faulty = loops[-1].name
+        cache = ResultCache(directory=None)
+        with monkeypatch.context() as patch:
+            _faulty_spill_child(patch, {faulty})
+            with pytest.raises(ChainFault):
+                run_jobs(jobs, workers=2, cache=cache)
+        for job, result in zip(jobs, golden):
+            cached = cache.get(job)
+            if job.loop.name == faulty:
+                assert cached is None, job
+            elif cached is not None:
+                assert cached == result, job
+        assert run_jobs(jobs, workers=2, cache=cache) == golden
+
 
 class TestSession:
     def test_fault_surfaces_and_is_not_cached(self, loops, monkeypatch):

@@ -1,5 +1,7 @@
 """Pool execution: serial/pooled equality, caching, ordering, ModelRun parity."""
 
+import gc
+
 import pytest
 
 from repro.analysis.performance import ModelRun, run_model
@@ -129,6 +131,17 @@ class TestEngine:
             assert engine._pool is first is not None
         assert engine._pool is None  # context exit released the workers
 
+    def test_dropped_engine_stops_its_workers(self, loops, machine):
+        """An engine dropped without close() leaves no process behind."""
+        engine = Engine(workers=2)
+        engine.map(_pressure_jobs(loops, machine))
+        processes = [process for process, _pipe in engine._pool._workers]
+        assert len(processes) == 2
+        assert all(process.is_alive() for process in processes)
+        del engine
+        gc.collect()
+        assert not any(process.is_alive() for process in processes)
+
     def test_serial_engine_spawns_no_pool(self, loops, machine):
         engine = serial_engine()
         engine.map(_pressure_jobs(loops, machine))
@@ -146,33 +159,86 @@ class TestEngine:
             assert warm._pool is None  # warm path must not pay worker startup
 
 
-class TestChunkedDispatch:
-    def test_execute_batch_chunk_preserves_indices(self, jobs):
+class TestGroupDispatch:
+    @pytest.mark.parametrize("prove", [False, True])
+    def test_run_task_preserves_indices(self, jobs, prove):
         from repro.engine.jobs import execute_job
-        from repro.engine.pool import _execute_batch_chunk, _group_misses
+        from repro.engine.pool import _group_misses, _run_task
 
-        chunk = _group_misses(list(enumerate(jobs[:4])))
-        batch = _execute_batch_chunk(chunk)
-        assert sorted(index for index, _ in batch) == [0, 1, 2, 3]
-        for index, result in batch:
+        half = len(jobs) // 2  # loop 0's pressure and evaluate jobs
+        task = _group_misses([(0, jobs[0]), (half, jobs[half])])
+        assert len(task) == 1
+        messages = []
+        _run_task(task, prove, messages.append)
+        # A proof streams one message per job, any other map one per task.
+        assert [len(message) for message in messages] == (
+            [1, 1] if prove else [2]
+        )
+        streamed = [pair for message in messages for pair in message]
+        assert [index for index, _ in streamed] == [0, half]
+        for index, result in streamed:
             assert result == execute_job(jobs[index])
 
-    def test_explicit_chunksize_matches_serial(self, jobs):
+    def test_pool_matches_serial_at_every_worker_count(self, jobs):
         serial = run_jobs(jobs, workers=0)
-        for chunksize in (1, 3, len(jobs)):
-            chunked = run_jobs(jobs, workers=2, chunksize=chunksize)
-            assert chunked == serial
+        for workers in (2, 3):
+            assert run_jobs(jobs, workers=workers) == serial
 
-    def test_progress_covers_every_job_when_chunked(self, jobs):
+    def test_progress_covers_every_job_when_pooled(self, jobs):
         seen = []
-        run_jobs(
+        landed = []
+        results = run_jobs(
             jobs,
             workers=2,
-            chunksize=4,
             progress=lambda done, total: seen.append((done, total)),
+            on_result=lambda index, _job, _result: landed.append(index),
         )
         assert seen[-1] == (len(jobs), len(jobs))
         assert [done for done, _ in seen] == list(range(1, len(jobs) + 1))
+        assert sorted(landed) == list(range(len(jobs)))
+        assert [r.loop_name for r in results] == [j.loop.name for j in jobs]
+
+    def test_tasks_pack_whole_groups(self, loops, machine):
+        """A task is a run of whole loop groups: one group each at size 1
+        (a proof's tasks), at least ``size`` jobs each otherwise."""
+        from repro.engine.pool import WorkerPool, _group_misses, _tasks
+
+        jobs = [
+            evaluate_job(loop, machine, model, 16)
+            for loop in loops[:3]
+            for model in (Model.UNIFIED, Model.SWAPPED)
+        ]
+        groups = _group_misses(list(enumerate(jobs)))
+        assert [len(group) for group in groups] == [2, 2, 2]
+        assert _tasks(groups, 1) == [[group] for group in groups]
+        assert _tasks(groups, 3) == [groups[:2], groups[2:]]
+        pool = WorkerPool(2)
+        try:
+            landed = list(pool.run(_tasks(groups, 3)))
+        finally:
+            pool.close()
+        assert sorted(index for index, _result in landed) == list(range(6))
+        assert [r for _i, r in sorted(landed, key=lambda x: x[0])] == (
+            run_jobs(jobs, workers=0)
+        )
+
+    def test_a_pool_runs_one_map_at_a_time(self, jobs):
+        """A second map on a busy pool is refused; the first, abandoned
+        mid-map, closes the pool, whose workers may hold its work."""
+        from repro.engine.pool import WorkerPool, _group_misses, _tasks
+
+        tasks = _tasks(_group_misses(list(enumerate(jobs))), 1)
+        pool = WorkerPool(2)
+        try:
+            first = pool.run(tasks)
+            next(first)
+            with pytest.raises(RuntimeError, match="already running"):
+                next(pool.run(tasks))
+            assert not pool.closed
+            first.close()
+            assert pool.closed
+        finally:
+            pool.close()
 
 
 class TestChainMemo:

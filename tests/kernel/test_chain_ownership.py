@@ -19,6 +19,7 @@ from typing import Iterator
 from repro.bench import LATENCY, bench_grid
 from repro.check.coverage import CHECK_MODELS, run_static_validation
 from repro.core.swapping import SwapEstimator
+from repro.engine.pool import Engine
 from repro.kernel.batch import LoopChain
 from repro.machine.config import paper_config
 from repro.sched.modulo import modulo_schedule
@@ -61,9 +62,11 @@ class TestNoCyclicGarbage:
             assert gc.collect() == 0
 
     def test_static_validation(self):
-        run_static_validation(n_loops=2)  # first-use imports and caches
+        """On a serial engine: the chains must die in this process."""
+        engine = Engine(workers=0, cache=None)
+        run_static_validation(n_loops=2, engine=engine)  # first-use caches
         with collector_off():
-            result = run_static_validation(n_loops=52)
+            result = run_static_validation(n_loops=52, engine=engine)
             assert result.ok, result.format()
             assert gc.collect() == 0
 
