@@ -87,7 +87,6 @@ if TYPE_CHECKING:
     from repro.pipeline.pipelines import run_evaluation, run_pressure
     from repro.pipeline.policies import SPILL_POLICIES
     from repro.report import ReportResult, generate_report
-    from repro.sched.compact import compact_schedule
     from repro.sched.modulo import modulo_schedule, schedule_loop
     from repro.spill.spiller import LoopEvaluation, evaluate_loop
 
@@ -132,7 +131,6 @@ _EXPORTS: dict[str, str] = {
     "SPILL_POLICIES": "repro.pipeline.policies",
     "ReportResult": "repro.report",
     "generate_report": "repro.report",
-    "compact_schedule": "repro.sched.compact",
     "modulo_schedule": "repro.sched.modulo",
     "schedule_loop": "repro.sched.modulo",
     "LoopEvaluation": "repro.spill.spiller",
@@ -169,7 +167,6 @@ __all__ = [
     "SPILL_POLICIES",
     "SweepSpec",
     "clustered_config",
-    "compact_schedule",
     "default_cache_dir",
     "evaluate_loop",
     "example_config",

@@ -8,7 +8,7 @@ driver and the reproduction report render through
 (:mod:`~repro.analysis.reporting`).
 
 Key entry points: :func:`cumulative_distribution` and
-:func:`fraction_fitting` (static/dynamic curves), :func:`run_model` /
+:func:`fraction_fitting` (static/dynamic curves), :class:`ModelRun` /
 :func:`relative_performance` (Figure 8 aggregation), and the
 :class:`Table` / :class:`BarChart` / :class:`LineChart` primitives with
 text, Markdown, HTML, ASCII-art, and SVG renderings.
@@ -24,8 +24,6 @@ from repro.analysis.distributions import (
 from repro.analysis.performance import (
     ModelRun,
     relative_performance,
-    run_all_models,
-    run_model,
     total_cycles,
 )
 from repro.analysis.reporting import (
@@ -51,7 +49,5 @@ __all__ = [
     "fraction_fitting",
     "percent",
     "relative_performance",
-    "run_all_models",
-    "run_model",
     "total_cycles",
 ]

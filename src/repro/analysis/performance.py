@@ -10,12 +10,11 @@ models below it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.core.models import Model
-from repro.ir.loop import Loop
 from repro.machine.config import MachineConfig
-from repro.spill.spiller import LoopEvaluation, evaluate_loop
+from repro.spill.spiller import LoopEvaluation
 
 
 def total_cycles(evaluations: Sequence[LoopEvaluation]) -> int:
@@ -59,44 +58,8 @@ class ModelRun:
         return sum(1 for ev in self.evaluations if not ev.fits)
 
 
-def run_model(
-    loops: Sequence[Loop],
-    machine: MachineConfig,
-    model: Model,
-    register_budget: int | None,
-    **kwargs: Any,
-) -> ModelRun:
-    """Evaluate a workload under one model and register budget."""
-    evaluations = tuple(
-        evaluate_loop(loop, machine, model, register_budget, **kwargs)
-        for loop in loops
-    )
-    return ModelRun(
-        model=model,
-        machine=machine,
-        register_budget=register_budget,
-        evaluations=evaluations,
-    )
-
-
-def run_all_models(
-    loops: Sequence[Loop],
-    machine: MachineConfig,
-    register_budget: int,
-    models: Sequence[Model] = tuple(Model),
-    **kwargs: Any,
-) -> dict[Model, ModelRun]:
-    """Evaluate a workload under every model at one register budget."""
-    return {
-        model: run_model(loops, machine, model, register_budget, **kwargs)
-        for model in models
-    }
-
-
 __all__ = [
     "ModelRun",
     "relative_performance",
-    "run_all_models",
-    "run_model",
     "total_cycles",
 ]

@@ -10,17 +10,14 @@ from repro.regalloc.firstfit import (
     verify_disjoint,
 )
 from repro.regalloc.lifetimes import Lifetime, lifetimes, total_lifetime
-from repro.regalloc.mve import MveAllocation, allocate_mve
 from repro.regalloc.maxlive import average_live, live_at, live_profile, max_live
 
 __all__ = [
     "AllocationError",
     "AllocationResult",
     "Lifetime",
-    "MveAllocation",
     "PlacedLifetime",
     "UnifiedAllocation",
-    "allocate_mve",
     "allocate_unified",
     "average_live",
     "first_fit",

@@ -20,10 +20,8 @@ of the paper's Table 2 (the example loop sums to 42).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # annotations only: sched imports regalloc via codegen
-    from repro.sched.schedule import Schedule
+from repro.sched.schedule import Schedule
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,9 @@ that drive register pressure in such suites:
   behind the paper's Figure 7 and the "49.1% of cycles above 64 registers"
   observation for P2L6.
 
-Calibration targets (unified model, see EXPERIMENTS.md): fractions of loops
-allocatable with 16/32/64 registers in the neighbourhood of the paper's
-Table 1 for P1L3 .. P2L6.
+Calibration targets (unified model; ``repro.report.expected`` and the
+report's paper-delta table): fractions of loops allocatable with 16/32/64
+registers in the neighbourhood of the paper's Table 1 for P1L3 .. P2L6.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ import gc
 
 import pytest
 
-from repro.analysis.performance import ModelRun, run_model
+from repro.analysis.performance import ModelRun
 from repro.core.models import Model
 from repro.engine.cache import ResultCache
-from repro.engine.jobs import evaluate_job, pressure_job
+from repro.engine.jobs import evaluate_job, execute_job, pressure_job
 from repro.engine.pool import Engine, run_jobs, serial_engine
 from repro.machine.config import paper_config
 from repro.workloads.suite import quick_suite
@@ -91,12 +91,20 @@ def _pressure_jobs(loops, machine):
 
 
 class TestEngine:
-    def test_run_model_matches_direct(self, loops, machine):
-        """The engine's ModelRun against the dict reference pipeline."""
+    def test_engine_model_run_matches_reference(self, loops, machine):
+        """The engine's ModelRun against the dict reference, per loop."""
         via_engine = _model_run(
             serial_engine(), loops, machine, Model.UNIFIED, 24
         )
-        direct = run_model(loops, machine, Model.UNIFIED, 24)
+        direct = ModelRun(
+            model=Model.UNIFIED,
+            machine=machine,
+            register_budget=24,
+            evaluations=tuple(
+                execute_job(evaluate_job(loop, machine, Model.UNIFIED, 24))
+                for loop in loops
+            ),
+        )
         assert via_engine.cycles == direct.cycles
         assert via_engine.total_spills == direct.total_spills
         assert via_engine.loops_spilled == direct.loops_spilled

@@ -1,7 +1,8 @@
 """Tests for the Figure 6/7/8/9 experiment drivers.
 
-These use a small suite; the paper-scale shapes are validated on the full
-suite in EXPERIMENTS.md.  The assertions here pin the *relations* the paper
+These use a small suite; the paper-scale figures are gated against the
+paper by ``repro report --check`` (``repro.report.expected`` and the
+report's paper-delta table).  The assertions here pin the *relations* the paper
 reports (dual left of unified, swapped >= partitioned, spill code raising
 traffic) which must hold at any suite size.
 """

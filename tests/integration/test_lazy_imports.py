@@ -202,7 +202,6 @@ def test_engine_package_exports_lazily_what_type_checkers_see():
 
 #: Packages that import their extension modules on first access only.
 PARTLY_LAZY = {
-    "repro.sched": ("repro.sched.codegen", "repro.sched.compact"),
     "repro.machine": ("repro.machine.costmodel",),
     "repro.core": ("repro.core.pressure",),
 }

@@ -2,16 +2,19 @@
 
 These drive the complete pipeline (suite -> schedule -> allocate -> swap ->
 spill -> aggregate) and assert the *relationships* the paper reports.  The
-absolute percentages live in EXPERIMENTS.md; relationships must hold at any
+absolute percentages are the report's (``repro.report.expected`` and the
+paper-delta table of ``repro report``); relationships must hold at any
 suite size.
 """
 
 import pytest
 
 from repro.analysis.distributions import fraction_fitting
-from repro.analysis.performance import relative_performance, run_model
+from repro.analysis.performance import ModelRun, relative_performance
 from repro.core.models import Model
 from repro.core.pressure import pressure_report
+from repro.engine.jobs import evaluate_job
+from repro.engine.pool import Engine
 from repro.machine.config import paper_config
 from repro.spill.traffic import aggregate_traffic
 from repro.workloads.suite import quick_suite
@@ -65,6 +68,28 @@ class TestRegisterRequirementClaims:
         assert gain[6] > gain[3]
 
 
+def _model_runs(loops, machine, budgets):
+    """One ModelRun per ``{model: budget}`` entry, from one engine map."""
+    points = list(budgets.items())
+    results = Engine(workers=0, cache=None).map(
+        [
+            evaluate_job(loop, machine, model, budget)
+            for model, budget in points
+            for loop in loops
+        ]
+    )
+    n = len(loops)
+    return {
+        model: ModelRun(
+            model=model,
+            machine=machine,
+            register_budget=budget,
+            evaluations=tuple(results[i * n:(i + 1) * n]),
+        )
+        for i, (model, budget) in enumerate(points)
+    }
+
+
 class TestPerformanceClaims:
     @pytest.fixture(scope="class")
     def spill_loops(self, loops):
@@ -72,16 +97,11 @@ class TestPerformanceClaims:
 
     @pytest.fixture(scope="class")
     def runs_l6_r32(self, spill_loops):
-        machine = paper_config(6)
-        return {
-            model: run_model(
-                spill_loops,
-                machine,
-                model,
-                None if model is Model.IDEAL else 32,
-            )
-            for model in Model
-        }
+        return _model_runs(
+            spill_loops,
+            paper_config(6),
+            {m: None if m is Model.IDEAL else 32 for m in Model},
+        )
 
     def test_unified_degrades_most(self, runs_l6_r32):
         ideal = runs_l6_r32[Model.IDEAL].evaluations
@@ -117,10 +137,12 @@ class TestPerformanceClaims:
     def test_dual_near_ideal_at_l3_r32(self, spill_loops):
         """Section 5.4: at latency 3 with 32 registers the dual models almost
         reach infinite-register performance."""
-        machine = paper_config(3)
-        ideal = run_model(spill_loops, machine, Model.IDEAL, None)
-        swapped = run_model(spill_loops, machine, Model.SWAPPED, 32)
+        runs = _model_runs(
+            spill_loops,
+            paper_config(3),
+            {Model.IDEAL: None, Model.SWAPPED: 32},
+        )
         perf = relative_performance(
-            swapped.evaluations, ideal.evaluations
+            runs[Model.SWAPPED].evaluations, runs[Model.IDEAL].evaluations
         )
         assert perf > 0.95

@@ -1,5 +1,5 @@
-"""Property-based tests for the extension modules (MVE, compaction,
-n-cluster allocation, moves)."""
+"""Property-based tests for the extension modules (n-cluster allocation,
+moves)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,42 +7,12 @@ from hypothesis import strategies as st
 from repro.core.dualfile import allocate_dual
 from repro.core.swapping import greedy_swap
 from repro.machine.config import clustered_config, paper_config
-from repro.regalloc.allocation import allocate_unified
 from repro.regalloc.firstfit import verify_disjoint
-from repro.regalloc.mve import allocate_mve
-from repro.sched.compact import compact_schedule
 from repro.sched.modulo import modulo_schedule
 from repro.workloads.synthetic import generate_loop
 
 loop_indices = st.integers(0, 200)
 latencies = st.sampled_from([3, 6])
-
-
-class TestMveProperties:
-    @given(loop_indices, latencies)
-    @settings(max_examples=40, deadline=None)
-    def test_mve_bounds(self, index, latency):
-        loop = generate_loop(index)
-        schedule = modulo_schedule(loop.graph, paper_config(latency))
-        mve = allocate_mve(schedule)
-        unified = allocate_unified(schedule)
-        # Per-value ceilings dominate the fractional-packing lower bound.
-        assert mve.registers_required >= unified.max_live
-        assert mve.unroll_factor >= 1
-        assert mve.unroll_factor_lcm % mve.unroll_factor == 0
-        assert mve.code_expansion >= len(schedule.graph)
-
-
-class TestCompactionProperties:
-    @given(st.integers(0, 80), latencies)
-    @settings(max_examples=12, deadline=None)
-    def test_compaction_invariants(self, index, latency):
-        loop = generate_loop(index)
-        schedule = modulo_schedule(loop.graph, paper_config(latency))
-        result = compact_schedule(schedule, max_steps=6)
-        result.schedule.verify()
-        assert result.schedule.ii == schedule.ii
-        assert result.max_live_after <= result.max_live_before
 
 
 class TestNClusterProperties:

@@ -14,8 +14,6 @@ from repro.core.swapping import greedy_swap
 from repro.ir.validate import validate_graph
 from repro.machine.config import paper_config
 from repro.regalloc.allocation import allocate_unified
-from repro.regalloc.mve import allocate_mve
-from repro.sched.codegen import emit_replicated, emit_rotating
 from repro.sched.mii import minimum_ii
 from repro.sched.modulo import modulo_schedule
 from repro.sim.executor import execute_kernel
@@ -59,18 +57,3 @@ class TestRandomGraphPipeline:
         schedule = modulo_schedule(graph, machine)
         execute_kernel(schedule, allocate_unified(schedule), iterations=4)
         execute_kernel(schedule, allocate_dual(schedule), iterations=4)
-
-    @given(dependence_graphs(max_arith=6))
-    @settings(max_examples=20, deadline=None)
-    def test_codegen_consistency(self, graph):
-        machine = paper_config(6)
-        schedule = modulo_schedule(graph, machine)
-        rotating = emit_rotating(schedule)
-        replicated = emit_replicated(schedule)
-        assert rotating.words == schedule.ii
-        assert replicated.words >= rotating.words
-        unroll = allocate_mve(schedule).unroll_factor
-        assert replicated.kernel_copies == unroll
-        total_slots = sum(len(i.slots) for i in replicated.instructions)
-        n_iterations = (schedule.stage_count - 1) + unroll
-        assert total_slots == n_iterations * len(graph)
